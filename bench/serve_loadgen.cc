@@ -1,11 +1,11 @@
 // serve_loadgen — closed-loop load benchmark for the serving path.
 //
 // Trains a VBM detector on the standard cora UNOD case, exports it as a
-// model bundle, then for each (threads × max_batch) engine configuration
-// restores the bundle into a fresh ScoringEngine and drives it with
-// concurrent closed-loop clients. Reports client-observed p50/p99/mean
-// latency, throughput, and the batch amortization factor (requests per
-// detector Score() call), alongside the engine-side latency histogram
+// model bundle, then for each engine thread count restores the bundle into
+// a fresh ScoringEngine and drives it with concurrent closed-loop clients.
+// Reports client-observed p50/p99/mean latency, throughput, and the
+// detector Score() calls behind them (one per graph version: the static
+// graph scores once), alongside the engine-side latency histogram
 // quantiles from vgod::obs.
 //
 //   serve_loadgen [--clients=8] [--requests=40] [--json=PATH]
@@ -53,7 +53,6 @@ struct StageQuantiles {
 
 struct ConfigResult {
   int threads = 0;
-  int max_batch = 0;
   int64_t requests = 0;
   int64_t score_calls = 0;
   double p50_ms = 0.0;
@@ -65,7 +64,6 @@ struct ConfigResult {
   // Per-stage quantiles from the serve.stage.* histograms — where the
   // engine-side latency actually went for this configuration.
   StageQuantiles queue_wait;
-  StageQuantiles batch_assembly;
   StageQuantiles score;
 };
 
@@ -88,11 +86,10 @@ double PercentileMs(std::vector<double>* sorted_ms, double q) {
 }
 
 ConfigResult RunConfig(const detectors::ModelBundle& bundle,
-                       const UnodCase& unod_case, int threads, int max_batch,
-                       int clients, int requests_per_client) {
+                       const UnodCase& unod_case, int threads, int clients,
+                       int requests_per_client) {
   ConfigResult out;
   out.threads = threads;
-  out.max_batch = max_batch;
 
   detectors::DetectorOptions options;
   options.seed = EnvSeed();
@@ -102,8 +99,6 @@ ConfigResult RunConfig(const detectors::ModelBundle& bundle,
 
   serve::EngineConfig config;
   config.num_threads = threads;
-  config.max_batch = max_batch;
-  config.max_delay_us = 500;
   serve::ScoringEngine engine(std::move(restored.value()), unod_case.graph,
                               config);
   VGOD_CHECK(engine.Start().ok());
@@ -143,7 +138,6 @@ ConfigResult RunConfig(const detectors::ModelBundle& bundle,
   out.engine_p50_ms = obs::HistogramQuantile(*latency, 0.5) * 1e3;
   out.engine_p99_ms = obs::HistogramQuantile(*latency, 0.99) * 1e3;
   out.queue_wait = StageFromRegistry("serve.stage.queue_wait.seconds");
-  out.batch_assembly = StageFromRegistry("serve.stage.batch_assembly.seconds");
   out.score = StageFromRegistry("serve.stage.score.seconds");
 
   engine.Shutdown();
@@ -399,8 +393,6 @@ std::string ResultsJson(const UnodCase& unod_case, int clients,
     if (i > 0) out.push_back(',');
     out.append("{\"threads\":");
     obs::AppendJsonNumber(&out, r.threads);
-    out.append(",\"max_batch\":");
-    obs::AppendJsonNumber(&out, r.max_batch);
     out.append(",\"requests\":");
     obs::AppendJsonNumber(&out, static_cast<double>(r.requests));
     out.append(",\"score_calls\":");
@@ -419,10 +411,8 @@ std::string ResultsJson(const UnodCase& unod_case, int clients,
     obs::AppendJsonNumber(&out, r.engine_p99_ms);
     out.append(",\"stages\":{");
     const std::pair<const char*, const StageQuantiles*> stages[] = {
-        {"queue_wait", &r.queue_wait},
-        {"batch_assembly", &r.batch_assembly},
-        {"score", &r.score}};
-    for (size_t s = 0; s < 3; ++s) {
+        {"queue_wait", &r.queue_wait}, {"score", &r.score}};
+    for (size_t s = 0; s < 2; ++s) {
       if (s > 0) out.push_back(',');
       out.push_back('"');
       out.append(stages[s].first);
@@ -514,7 +504,7 @@ int Main(int argc, char** argv) {
 
   PrintBanner("serve_loadgen",
               "serving-path load benchmark: p50/p99 latency + throughput "
-              "across thread x batch configurations");
+              "across engine thread counts");
 
   UnodCase unod_case = MakeUnodCase("cora", EnvSeed());
   detectors::DetectorOptions options = OptionsFor(unod_case, EnvSeed());
@@ -528,25 +518,18 @@ int Main(int argc, char** argv) {
   Result<detectors::ModelBundle> bundle = detector.value()->ExportBundle();
   VGOD_CHECK(bundle.ok()) << bundle.status().ToString();
 
-  const int kConfigs[][2] = {{1, 1}, {1, 8}, {4, 1}, {4, 8}};
+  const int kThreadCounts[] = {1, 4};
   std::vector<ConfigResult> results;
-  std::printf("%8s %10s %10s %10s %10s %12s %12s\n", "threads", "max_batch",
-              "p50_ms", "p99_ms", "mean_ms", "rps", "batch_amort");
-  for (const auto& [threads, max_batch] : kConfigs) {
-    ConfigResult r = RunConfig(bundle.value(), unod_case, threads, max_batch,
-                               clients, requests_per_client);
-    const double amortization =
-        r.score_calls > 0
-            ? static_cast<double>(r.requests) /
-                  static_cast<double>(r.score_calls)
-            : 0.0;
-    std::printf("%8d %10d %10.3f %10.3f %10.3f %12.1f %12.2f\n", r.threads,
-                r.max_batch, r.p50_ms, r.p99_ms, r.mean_ms, r.throughput_rps,
-                amortization);
+  std::printf("%8s %10s %10s %10s %12s %12s\n", "threads", "p50_ms",
+              "p99_ms", "mean_ms", "rps", "score_calls");
+  for (const int threads : kThreadCounts) {
+    ConfigResult r = RunConfig(bundle.value(), unod_case, threads, clients,
+                               requests_per_client);
+    std::printf("%8d %10.3f %10.3f %10.3f %12.1f %12lld\n", r.threads,
+                r.p50_ms, r.p99_ms, r.mean_ms, r.throughput_rps,
+                static_cast<long long>(r.score_calls));
     std::string tag = "t";
     tag.append(std::to_string(threads));
-    tag.push_back('b');
-    tag.append(std::to_string(max_batch));
     RecordManifestResult(unod_case.name, "VBM", tag + ".p50_ms", r.p50_ms);
     RecordManifestResult(unod_case.name, "VBM", tag + ".p99_ms", r.p99_ms);
     RecordManifestResult(unod_case.name, "VBM", tag + ".throughput_rps",
@@ -570,15 +553,12 @@ int Main(int argc, char** argv) {
     VGOD_CHECK(restored.ok()) << restored.status().ToString();
     serve::EngineConfig config;
     config.num_threads = 4;
-    config.max_batch = 8;
-    config.max_delay_us = 500;
     auto engine = std::make_unique<serve::ScoringEngine>(
         std::move(restored.value()), unod_case.graph, config);
     serve::ScoringServer server(std::move(engine), /*port=*/0);
     VGOD_CHECK(server.Start().ok());
     const int port = server.port();
-    std::printf("\nhttp phase on 127.0.0.1:%d (threads=4 max_batch=8)\n",
-                port);
+    std::printf("\nhttp phase on 127.0.0.1:%d (threads=4)\n", port);
     std::printf("%10s %10s %10s %10s %12s %12s\n", "mode", "p50_ms",
                 "p99_ms", "mean_ms", "rps", "connections");
     const int num_nodes = unod_case.graph.num_nodes();

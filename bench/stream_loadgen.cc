@@ -146,8 +146,6 @@ MixedResult RunMixedPhase(const UnodCase& unod_case, int ingest_threads,
 
   serve::EngineConfig config;
   config.num_threads = 2;
-  config.max_batch = 8;
-  config.max_delay_us = 500;
   serve::ScoringEngine engine(std::move(detector.value()), unod_case.graph,
                               config);
   serve::StreamingOptions stream_options;
@@ -335,8 +333,6 @@ DriftResult RunDriftPhase(const UnodCase& unod_case, int batches) {
 
   serve::EngineConfig config;
   config.num_threads = 2;
-  config.max_batch = 8;
-  config.max_delay_us = 500;
   serve::ScoringEngine engine(std::move(detector.value()), unod_case.graph,
                               config);
   VGOD_CHECK(engine.EnableStreaming(serve::StreamingOptions()).ok());

@@ -15,14 +15,11 @@ std::string AccessRecordToJson(const AccessRecord& record) {
   obs::AppendJsonString(&out, record.path);
   out.append(",\"status\":" + std::to_string(record.status));
   out.append(",\"nodes\":" + std::to_string(record.num_nodes));
-  out.append(",\"batch_size\":" + std::to_string(record.batch_size));
   out.append(record.shed ? ",\"shed\":true" : ",\"shed\":false");
   out.append(",\"error_class\":");
   obs::AppendJsonString(&out, record.error_class);
   out.append(",\"parse_us\":" + std::to_string(record.parse_us));
   out.append(",\"queue_wait_us\":" + std::to_string(record.queue_wait_us));
-  out.append(",\"batch_assembly_us\":" +
-             std::to_string(record.batch_assembly_us));
   out.append(",\"score_us\":" + std::to_string(record.score_us));
   out.append(",\"serialize_us\":" + std::to_string(record.serialize_us));
   out.append(",\"total_us\":" + std::to_string(record.total_us));

@@ -20,12 +20,10 @@ struct AccessRecord {
   std::string path;
   int status = 200;
   int num_nodes = 0;    // Node ids asked for (subgraph requests: graph size).
-  int batch_size = 0;   // Size of the batch that answered the request.
   bool shed = false;    // Load-shedding rejection (queue full).
   std::string error_class;  // Empty on success; CountHttpError's class name.
   int64_t parse_us = 0;
   int64_t queue_wait_us = 0;
-  int64_t batch_assembly_us = 0;
   int64_t score_us = 0;
   int64_t serialize_us = 0;
   int64_t total_us = 0;

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/faultinject.h"
 #include "core/parallel.h"
@@ -16,13 +17,6 @@
 namespace vgod::serve {
 namespace {
 
-// Batch-size histogram edges: powers of two up to a generous cap.
-const std::vector<double>& BatchSizeBounds() {
-  static const std::vector<double>* bounds =
-      new std::vector<double>{1, 2, 4, 8, 16, 32, 64, 128};
-  return *bounds;
-}
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -32,6 +26,15 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 double SecondsBetween(std::chrono::steady_clock::time_point start,
                       std::chrono::steady_clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
+}
+
+/// serve.queue.depth, resolved once: set on every admission, dequeue, and
+/// refresh completion while mu_ is held, where a by-name registry lookup
+/// would build a string and take the registry mutex each time.
+obs::Gauge* QueueDepthGauge() {
+  static obs::Gauge* depth =
+      obs::MetricsRegistry::Global().GetGauge("serve.queue.depth");
+  return depth;
 }
 
 /// Publishes the engine atomics as serve.engine.* gauges. Gauge Set() is
@@ -52,14 +55,38 @@ void PublishEngineStats(const EngineStats& stats) {
 
 /// Records one request's engine-side stage breakdown into the
 /// serve.stage.* histograms and closes its cross-thread trace flow
-/// (the "f" end of the arrow the accept thread started at Submit).
+/// (the "f" end of the arrow started at admission).
 void ObserveStages(const StageTiming& timing) {
   VGOD_HISTOGRAM_OBSERVE("serve.stage.queue_wait.seconds",
                          timing.queue_wait_seconds);
-  VGOD_HISTOGRAM_OBSERVE("serve.stage.batch_assembly.seconds",
-                         timing.batch_assembly_seconds);
   VGOD_HISTOGRAM_OBSERVE("serve.stage.score.seconds", timing.score_seconds);
   obs::RecordFlowEvent("serve/request", timing.request_id, /*finish=*/true);
+}
+
+/// Stage breakdown of a request admitted at `admitted` and answered by a
+/// Score() call that a worker picked up at `picked` and finished at
+/// `done`. A request that attached to a refresh after the pick waited in
+/// no queue, and one that attached after `done` waited for nothing.
+StageTiming TimingFor(uint64_t request_id,
+                      std::chrono::steady_clock::time_point admitted,
+                      std::chrono::steady_clock::time_point picked,
+                      std::chrono::steady_clock::time_point done,
+                      int64_t tensor_peak_bytes) {
+  const auto started = std::max(admitted, picked);
+  return {request_id, SecondsBetween(admitted, started),
+          SecondsBetween(started, std::max(started, done)),
+          tensor_peak_bytes};
+}
+
+/// Adapts a callback-shaped submission to the future-returning shape.
+template <typename SubmitFn>
+std::future<Result<ScoreResult>> Promised(SubmitFn submit) {
+  auto promise = std::make_shared<std::promise<Result<ScoreResult>>>();
+  std::future<Result<ScoreResult>> future = promise->get_future();
+  submit([promise](Result<ScoreResult> result) {
+    promise->set_value(std::move(result));
+  });
+  return future;
 }
 
 /// Runs the detector and validates every emitted score vector before any
@@ -168,12 +195,10 @@ ScoringEngine::ScoringEngine(
       boot_graph_(std::make_shared<const AttributedGraph>(std::move(graph))),
       config_(config) {
   current_graph_ = boot_graph_;
-  resident_nodes_.store(boot_graph_->num_nodes(), std::memory_order_relaxed);
   VGOD_CHECK(detector_ != nullptr) << "ScoringEngine needs a detector";
   VGOD_CHECK(config_.num_threads > 0) << "num_threads must be positive";
   VGOD_CHECK(config_.intra_op_threads >= 0)
       << "intra_op_threads must be >= 0 (0 = leave the global pool alone)";
-  VGOD_CHECK(config_.max_batch > 0) << "max_batch must be positive";
   VGOD_CHECK(config_.max_queue > 0) << "max_queue must be positive";
 }
 
@@ -203,19 +228,11 @@ void ScoringEngine::Shutdown() {
     stopping_ = true;
   }
   cv_.notify_all();
+  // Admission closed under mu_ before any worker saw stopping_, and a
+  // worker exits only on an empty queue, so once the joins return every
+  // admitted request (refresh waiters included) has been answered.
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-  // Without a started pool nothing drains the queue; fail what's left so
-  // no future is abandoned.
-  std::deque<Pending> orphaned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    orphaned.swap(queue_);
-  }
-  for (Pending& pending : orphaned) {
-    FinishRequest(&pending,
-                  Status::FailedPrecondition("engine shut down"));
-  }
 }
 
 Status ScoringEngine::EnableStreaming(StreamingOptions options) {
@@ -311,14 +328,16 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
                            result.compact_seconds);
   }
 
-  // Publish the post-batch snapshot (pays the materialization here, on
-  // the ingest request, so scoring workers only ever swap a pointer).
+  // Publish the post-batch snapshot as a new graph version (pays the
+  // materialization here, on the ingest request, so scoring workers only
+  // ever swap a pointer). Node requests submitted from here on miss the
+  // score cache until a refresh scores this version.
   std::shared_ptr<const AttributedGraph> snapshot = store_->Snapshot();
   {
     std::lock_guard<std::mutex> graph_lock(graph_mu_);
     current_graph_ = snapshot;
+    ++graph_version_;
   }
-  resident_nodes_.store(snapshot->num_nodes(), std::memory_order_release);
 
   result.num_nodes = snapshot->num_nodes();
   result.delta_ops = store_->delta_ops();
@@ -402,60 +421,41 @@ EngineStats ScoringEngine::stats() const {
   return stats;
 }
 
-Status ScoringEngine::Enqueue(Pending* pending) {
-  pending->enqueued = std::chrono::steady_clock::now();
+Status ScoringEngine::AdmitLocked(Pending* pending, bool waits) {
+  pending->admitted = std::chrono::steady_clock::now();
   if (pending->request_id == 0) pending->request_id = NextRequestId();
-  const uint64_t request_id = pending->request_id;
   VGOD_COUNTER_INC("serve.requests.total");
-
-  Status rejected = Status::Ok();
-  bool shed = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || !started_) {
-      rejected = Status::FailedPrecondition("engine is not accepting work");
-    } else if (static_cast<int>(queue_.size()) >= config_.max_queue) {
-      rejected = Status::OutOfRange("scoring queue is full");
-      shed = true;
-    } else {
-      queue_.push_back(std::move(*pending));
-      obs::MetricsRegistry::Global()
-          .GetGauge("serve.queue.depth")
-          ->Set(static_cast<double>(queue_.size()));
-    }
+  if (stopping_ || !started_) {
+    return Status::FailedPrecondition("engine is not accepting work");
   }
-  if (!rejected.ok()) {
-    VGOD_COUNTER_INC("serve.requests.rejected");
-    if (shed) {
-      shed_count_.fetch_add(1, std::memory_order_relaxed);
-      PublishEngineStats(stats());
+  if (waits) {
+    if (backlog_ >= config_.max_queue) {
+      return Status::OutOfRange("scoring queue is full");
     }
-    return rejected;
+    QueueDepthGauge()->Set(static_cast<double>(++backlog_));
   }
-  // Flow start on the submitting (accept) thread; the batch worker that
-  // executes the request records the matching finish, tying the two
-  // threads' spans together in the trace viewer.
-  obs::RecordFlowEvent("serve/request", request_id, /*finish=*/false);
-  cv_.notify_one();
+  // Flow start on the submitting thread; whichever thread answers records
+  // the matching finish, tying the two threads' spans together in the
+  // trace viewer.
+  obs::RecordFlowEvent("serve/request", pending->request_id,
+                       /*finish=*/false);
   return Status::Ok();
 }
 
-std::future<Result<ScoreResult>> ScoringEngine::Submit(Pending pending) {
-  std::future<Result<ScoreResult>> future = pending.promise.get_future();
-  const Status queued = Enqueue(&pending);
-  if (!queued.ok()) {
-    // `pending` still owns the promise only in the rejection path.
-    pending.promise.set_value(queued);
+void ScoringEngine::Reject(Pending* pending, const Status& status) {
+  VGOD_COUNTER_INC("serve.requests.rejected");
+  // The only OutOfRange admission failure is the full queue.
+  if (status.code() == StatusCode::kOutOfRange) {
+    shed_count_.fetch_add(1, std::memory_order_relaxed);
+    PublishEngineStats(stats());
   }
-  return future;
+  pending->callback(status);
 }
 
-Status ScoringEngine::ValidateNodes(const std::vector<int>& nodes) const {
-  // Validate ids up front so a bad request cannot poison a whole batch.
-  // Under streaming the bound is the latest published snapshot's node
-  // count, which only ever grows — a node valid here stays valid for
-  // whichever (same-or-newer) snapshot the batch worker scores.
-  const int resident = resident_nodes_.load(std::memory_order_acquire);
+Status ScoringEngine::ValidateNodes(const std::vector<int>& nodes,
+                                    int resident) const {
+  // Validate ids up front so a bad request is answered before it can
+  // touch the cache or the queue.
   for (int node : nodes) {
     if (node < 0 || node >= resident) {
       VGOD_COUNTER_INC("serve.requests.total");
@@ -483,49 +483,55 @@ Status ScoringEngine::ValidateSubgraph(const AttributedGraph& graph) const {
   return Status::Ok();
 }
 
-std::future<Result<ScoreResult>> ScoringEngine::SubmitNodes(
-    std::vector<int> nodes, uint64_t request_id) {
-  const Status valid = ValidateNodes(nodes);
-  if (!valid.ok()) {
-    std::promise<Result<ScoreResult>> broken;
-    broken.set_value(valid);
-    return broken.get_future();
-  }
-  Pending pending;
-  pending.nodes = std::move(nodes);
-  pending.request_id = request_id;
-  return Submit(std::move(pending));
-}
-
-std::future<Result<ScoreResult>> ScoringEngine::SubmitGraph(
-    AttributedGraph graph, uint64_t request_id) {
-  const Status valid = ValidateSubgraph(graph);
-  if (!valid.ok()) {
-    std::promise<Result<ScoreResult>> broken;
-    broken.set_value(valid);
-    return broken.get_future();
-  }
-  Pending pending;
-  pending.subgraph =
-      std::make_shared<const AttributedGraph>(std::move(graph));
-  pending.request_id = request_id;
-  return Submit(std::move(pending));
-}
-
 void ScoringEngine::SubmitNodesAsync(std::vector<int> nodes,
                                      uint64_t request_id, ScoreCallback done) {
-  const Status valid = ValidateNodes(nodes);
+  int resident = 0;
+  uint64_t version = 0;
+  {
+    std::lock_guard<std::mutex> graph_lock(graph_mu_);
+    resident = current_graph_->num_nodes();
+    version = graph_version_;
+  }
+  // Validated against the snapshot of `version`. Whatever answers has
+  // scored that version or a newer one, and streaming only ever grows the
+  // node set, so every id indexes the output in range.
+  const Status valid = ValidateNodes(nodes, resident);
   if (!valid.ok()) {
     done(valid);
     return;
   }
-  Pending pending;
-  pending.nodes = std::move(nodes);
-  pending.request_id = request_id;
-  pending.callback = std::move(done);
-  const Status queued = Enqueue(&pending);
-  // On rejection Enqueue leaves `pending` (and so the callback) with us.
-  if (!queued.ok()) pending.callback(queued);
+  Pending pending{std::move(nodes), nullptr, std::move(done), request_id, {}};
+  std::shared_ptr<const detectors::DetectorOutput> hit;
+  bool queued_refresh = false;
+  Status admitted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A newer cached version also answers: it was published after this
+    // request read `version`, so it still reflects every earlier ingest.
+    const bool cached = cached_ != nullptr && cached_version_ >= version;
+    admitted = AdmitLocked(&pending, /*waits=*/!cached);
+    if (admitted.ok()) {
+      if (cached) {
+        hit = cached_;
+      } else {
+        // Single flight: the first miss of a version queues its refresh,
+        // later misses wait on it.
+        auto [entry, fresh] = refreshing_.try_emplace(version);
+        entry->second.push_back(std::move(pending));
+        if (fresh) {
+          queue_.push_back(Job{std::nullopt, version});
+          queued_refresh = true;
+        }
+      }
+    }
+  }
+  if (!admitted.ok()) {
+    Reject(&pending, admitted);
+  } else if (hit != nullptr) {
+    AnswerNodes(&pending, *hit, StageTiming{pending.request_id});
+  } else if (queued_refresh) {
+    cv_.notify_one();
+  }
 }
 
 void ScoringEngine::SubmitGraphAsync(AttributedGraph graph,
@@ -535,13 +541,34 @@ void ScoringEngine::SubmitGraphAsync(AttributedGraph graph,
     done(valid);
     return;
   }
-  Pending pending;
-  pending.subgraph =
-      std::make_shared<const AttributedGraph>(std::move(graph));
-  pending.request_id = request_id;
-  pending.callback = std::move(done);
-  const Status queued = Enqueue(&pending);
-  if (!queued.ok()) pending.callback(queued);
+  Pending pending{{},
+                  std::make_shared<const AttributedGraph>(std::move(graph)),
+                  std::move(done), request_id, {}};
+  Status admitted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    admitted = AdmitLocked(&pending, /*waits=*/true);
+    if (admitted.ok()) queue_.push_back(Job{std::move(pending), 0});
+  }
+  if (!admitted.ok()) {
+    Reject(&pending, admitted);
+    return;
+  }
+  cv_.notify_one();
+}
+
+std::future<Result<ScoreResult>> ScoringEngine::SubmitNodes(
+    std::vector<int> nodes, uint64_t request_id) {
+  return Promised([&](ScoreCallback done) {
+    SubmitNodesAsync(std::move(nodes), request_id, std::move(done));
+  });
+}
+
+std::future<Result<ScoreResult>> ScoringEngine::SubmitGraph(
+    AttributedGraph graph, uint64_t request_id) {
+  return Promised([&](ScoreCallback done) {
+    SubmitGraphAsync(std::move(graph), request_id, std::move(done));
+  });
 }
 
 Result<ScoreResult> ScoringEngine::ScoreNodes(std::vector<int> nodes,
@@ -558,188 +585,123 @@ void ScoringEngine::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;  // Drained.
-      continue;
-    }
-
-    Pending first = std::move(queue_.front());
+    if (queue_.empty()) return;  // Stopping, and drained.
+    Job job = std::move(queue_.front());
     queue_.pop_front();
-    first.dequeued = std::chrono::steady_clock::now();
-
-    if (first.subgraph != nullptr) {
-      obs::MetricsRegistry::Global()
-          .GetGauge("serve.queue.depth")
-          ->Set(static_cast<double>(queue_.size()));
-      lock.unlock();
-      ExecuteSubgraph(std::move(first));
-      lock.lock();
-      continue;
+    // A running subgraph no longer waits; refresh waiters still do until
+    // their refresh completes.
+    if (job.subgraph_request) {
+      QueueDepthGauge()->Set(static_cast<double>(--backlog_));
     }
-
-    // Coalesce node requests: flush on max_batch, on the oldest request
-    // reaching max_delay_us, or immediately while draining. A subgraph
-    // request at the head stops accumulation so FIFO order holds.
-    std::vector<Pending> batch;
-    batch.push_back(std::move(first));
-    const auto deadline =
-        batch.front().enqueued +
-        std::chrono::microseconds(config_.max_delay_us);
-    while (static_cast<int>(batch.size()) < config_.max_batch) {
-      if (!queue_.empty()) {
-        if (queue_.front().subgraph != nullptr) break;
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        batch.back().dequeued = std::chrono::steady_clock::now();
-        continue;
-      }
-      if (stopping_) break;
-      if (cv_.wait_until(lock, deadline, [this] {
-            return stopping_ || !queue_.empty();
-          })) {
-        continue;  // New work or draining; loop re-checks.
-      }
-      break;  // Deadline: flush what we have.
-    }
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.queue.depth")
-        ->Set(static_cast<double>(queue_.size()));
     lock.unlock();
-    ExecuteBatch(std::move(batch));
+    RunJob(std::move(job));
     lock.lock();
   }
 }
 
 void ScoringEngine::FinishRequest(Pending* pending,
-                                  Result<ScoreResult> result) {
+                                  Result<ScoreResult> result,
+                                  const StageTiming& timing) {
+  ObserveStages(timing);
   VGOD_HISTOGRAM_OBSERVE("serve.request.latency.seconds",
-                         SecondsSince(pending->enqueued));
+                         SecondsSince(pending->admitted));
   VGOD_COUNTER_INC("serve.requests.completed");
-  if (pending->callback) {
-    pending->callback(std::move(result));
-  } else {
-    pending->promise.set_value(std::move(result));
-  }
+  pending->callback(std::move(result));
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   PublishEngineStats(stats());
 }
 
-/// Engine-side stage breakdown for one request of a flushed batch:
-/// queue wait (enqueue -> picked by a worker), batch assembly (picked ->
-/// batch flush), and the shared Score() call.
-StageTiming ScoringEngine::TimingFor(
-    const Pending& pending, std::chrono::steady_clock::time_point score_start,
-    double score_seconds, int batch_size, int64_t tensor_peak_bytes) {
-  StageTiming timing;
-  timing.request_id = pending.request_id;
-  timing.queue_wait_seconds =
-      SecondsBetween(pending.enqueued, pending.dequeued);
-  timing.batch_assembly_seconds =
-      SecondsBetween(pending.dequeued, score_start);
-  timing.score_seconds = score_seconds;
-  timing.batch_size = batch_size;
-  timing.tensor_peak_bytes = tensor_peak_bytes;
-  return timing;
-}
-
-void ScoringEngine::ExecuteBatch(std::vector<Pending> batch) {
-  VGOD_TRACE_SPAN("serve/batch");
-  {
-    static obs::Histogram* batch_size =
-        obs::MetricsRegistry::Global().GetHistogram("serve.batch.size",
-                                                    BatchSizeBounds());
-    batch_size->Observe(static_cast<double>(batch.size()));
-  }
-  const auto score_start = std::chrono::steady_clock::now();
-  int64_t tensor_peak_bytes = 0;
-  // Pin the latest published snapshot for the whole batch. Under
-  // streaming this is how a batch never sees a half-mutated graph:
-  // ingest swaps the pointer atomically and old snapshots stay immutable
-  // for as long as anyone holds them.
-  const std::shared_ptr<const AttributedGraph> resident = CurrentGraph();
-  Result<detectors::DetectorOutput> guarded =
-      GuardedScore(*detector_, *resident, &tensor_peak_bytes);
-  const double score_seconds = SecondsSince(score_start);
-  VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds", score_seconds);
-  score_calls_.fetch_add(1, std::memory_order_relaxed);
-  if (!guarded.ok()) {
-    for (Pending& pending : batch) {
-      ObserveStages(TimingFor(pending, score_start, score_seconds,
-                              static_cast<int>(batch.size()),
-                              tensor_peak_bytes));
-      FinishRequest(&pending, guarded.status());
-    }
-    return;
-  }
-  const detectors::DetectorOutput& out = guarded.value();
-
-  for (Pending& pending : batch) {
-    ScoreResult result;
-    result.timing = TimingFor(pending, score_start, score_seconds,
-                              static_cast<int>(batch.size()),
-                              tensor_peak_bytes);
-    ObserveStages(result.timing);
-    result.nodes = std::move(pending.nodes);
-    // Belt-and-braces under streaming: ids were validated against a
-    // snapshot no newer than the one scored, so this cannot fire unless
-    // that ordering invariant breaks — degrade to a 500, not UB.
-    bool in_range = true;
-    for (int node : result.nodes) {
-      if (static_cast<size_t>(node) >= out.score.size()) {
-        in_range = false;
-        break;
-      }
-    }
-    if (!in_range) {
-      FinishRequest(&pending, Status::Internal(
-                                  "scored snapshot is older than the "
-                                  "validated node ids"));
-      continue;
-    }
-    result.score.reserve(result.nodes.size());
-    for (int node : result.nodes) {
-      result.score.push_back(out.score[node]);
-    }
-    if (out.has_components()) {
-      result.structural.reserve(result.nodes.size());
-      result.contextual.reserve(result.nodes.size());
-      for (int node : result.nodes) {
-        result.structural.push_back(out.structural_score[node]);
-        result.contextual.push_back(out.contextual_score[node]);
-      }
-    }
-    FinishRequest(&pending, std::move(result));
-  }
-}
-
-void ScoringEngine::ExecuteSubgraph(Pending pending) {
-  VGOD_TRACE_SPAN("serve/subgraph");
-  const auto score_start = std::chrono::steady_clock::now();
-  int64_t tensor_peak_bytes = 0;
-  Result<detectors::DetectorOutput> guarded =
-      GuardedScore(*detector_, *pending.subgraph, &tensor_peak_bytes);
-  const double score_seconds = SecondsSince(score_start);
-  VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds", score_seconds);
-  score_calls_.fetch_add(1, std::memory_order_relaxed);
-  const StageTiming timing = TimingFor(pending, score_start, score_seconds,
-                                       /*batch_size=*/1, tensor_peak_bytes);
-  ObserveStages(timing);
-  if (!guarded.ok()) {
-    FinishRequest(&pending, guarded.status());
-    return;
-  }
-  detectors::DetectorOutput out = std::move(guarded).value();
-
+void ScoringEngine::AnswerNodes(Pending* pending,
+                                const detectors::DetectorOutput& out,
+                                const StageTiming& timing) {
   ScoreResult result;
   result.timing = timing;
-  result.nodes.resize(pending.subgraph->num_nodes());
-  for (int i = 0; i < pending.subgraph->num_nodes(); ++i) {
-    result.nodes[i] = i;
+  result.nodes = std::move(pending->nodes);
+  result.score.reserve(result.nodes.size());
+  for (int node : result.nodes) result.score.push_back(out.score[node]);
+  if (out.has_components()) {
+    result.structural.reserve(result.nodes.size());
+    result.contextual.reserve(result.nodes.size());
+    for (int node : result.nodes) {
+      result.structural.push_back(out.structural_score[node]);
+      result.contextual.push_back(out.contextual_score[node]);
+    }
   }
-  result.score = std::move(out.score);
-  result.structural = std::move(out.structural_score);
-  result.contextual = std::move(out.contextual_score);
-  FinishRequest(&pending, std::move(result));
+  FinishRequest(pending, std::move(result), timing);
+}
+
+void ScoringEngine::RunJob(Job job) {
+  VGOD_TRACE_SPAN(job.subgraph_request ? "serve/subgraph" : "serve/refresh");
+  std::shared_ptr<const AttributedGraph> graph;
+  uint64_t version = 0;  // Of `graph`, for a refresh.
+  if (job.subgraph_request) {
+    graph = std::move(job.subgraph_request->subgraph);
+  } else {
+    // Score the latest published version rather than the one the waiters
+    // read: it is at least as new, so it answers them all, and a queued
+    // refresh pins no snapshot that ingest has since replaced.
+    std::lock_guard<std::mutex> graph_lock(graph_mu_);
+    graph = current_graph_;
+    version = graph_version_;
+  }
+  const auto picked = std::chrono::steady_clock::now();
+  int64_t tensor_peak_bytes = 0;
+  Result<detectors::DetectorOutput> guarded =
+      GuardedScore(*detector_, *graph, &tensor_peak_bytes);
+  const auto done = std::chrono::steady_clock::now();
+  VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds",
+                         SecondsBetween(picked, done));
+  score_calls_.fetch_add(1, std::memory_order_relaxed);
+
+  if (job.subgraph_request) {
+    Pending& pending = *job.subgraph_request;
+    const StageTiming timing = TimingFor(pending.request_id, pending.admitted,
+                                         picked, done, tensor_peak_bytes);
+    if (!guarded.ok()) {
+      FinishRequest(&pending, guarded.status(), timing);
+      return;
+    }
+    detectors::DetectorOutput out = std::move(guarded).value();
+    ScoreResult result;
+    result.timing = timing;
+    result.nodes.resize(graph->num_nodes());
+    std::iota(result.nodes.begin(), result.nodes.end(), 0);
+    result.score = std::move(out.score);
+    result.structural = std::move(out.structural_score);
+    result.contextual = std::move(out.contextual_score);
+    FinishRequest(&pending, std::move(result), timing);
+    return;
+  }
+
+  std::shared_ptr<const detectors::DetectorOutput> out;
+  if (guarded.ok()) {
+    out = std::make_shared<const detectors::DetectorOutput>(
+        std::move(guarded).value());
+  }
+  std::vector<Pending> waiters;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto entry = refreshing_.find(job.version);
+    waiters = std::move(entry->second);
+    refreshing_.erase(entry);
+    backlog_ -= static_cast<int>(waiters.size());
+    QueueDepthGauge()->Set(static_cast<double>(backlog_));
+    // Errors are never cached, and a refresh that finishes after a newer
+    // version's never replaces it.
+    if (out != nullptr && (cached_ == nullptr || version > cached_version_)) {
+      cached_ = out;
+      cached_version_ = version;
+    }
+  }
+  for (Pending& pending : waiters) {
+    const StageTiming timing = TimingFor(pending.request_id, pending.admitted,
+                                         picked, done, tensor_peak_bytes);
+    if (out == nullptr) {
+      FinishRequest(&pending, guarded.status(), timing);
+    } else {
+      AnswerNodes(&pending, *out, timing);
+    }
+  }
 }
 
 }  // namespace vgod::serve

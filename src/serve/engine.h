@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -25,7 +26,7 @@
 
 namespace vgod::serve {
 
-/// Batching/threading knobs of the scoring engine (docs/SERVING.md,
+/// Threading/admission knobs of the scoring engine (docs/SERVING.md,
 /// docs/PARALLELISM.md for how the two thread pools compose).
 struct EngineConfig {
   /// Worker threads executing detector Score() calls.
@@ -34,35 +35,31 @@ struct EngineConfig {
   /// 0 leaves the global pool as configured (VGOD_NUM_THREADS or
   /// hardware_concurrency). Pick num_threads * intra_op_threads <= cores:
   /// the kernel pool runs one region at a time and concurrent scoring
-  /// threads fall back to serial kernels, so batch-level and kernel-level
-  /// parallelism never oversubscribe.
+  /// threads fall back to serial kernels, so request-level and
+  /// kernel-level parallelism never oversubscribe.
   int intra_op_threads = 0;
-  /// A batch flushes when it holds this many node-scoring requests...
-  int max_batch = 8;
-  /// ...or when its oldest request has waited this long, whichever first.
-  int max_delay_us = 1000;
-  /// Submissions beyond this queue depth are rejected (load shedding, so a
-  /// burst degrades to fast 503s instead of unbounded latency).
+  /// Admitted-but-unanswered requests beyond this depth (queued subgraph
+  /// requests plus node requests waiting for a score refresh) are
+  /// rejected: load shedding, so a burst degrades to fast 503s instead of
+  /// unbounded latency.
   int max_queue = 1024;
 };
 
-/// Per-request stage timing filled in by the engine as the request moves
-/// accept thread -> bounded queue -> batch worker. The HTTP layer adds
+/// Per-request stage timing filled in by the engine. The HTTP layer adds
 /// parse/serialize on top (docs/OBSERVABILITY.md "Request lifecycle").
+/// A node request answered from the score cache has both stages at 0.
 struct StageTiming {
   uint64_t request_id = 0;
-  /// Submit() enqueue -> a worker picking the request out of the queue.
+  /// Admission -> a worker picking up the job that answers the request
+  /// (the subgraph's own job, or a node request's score refresh; 0 when
+  /// the request attached to a refresh that was already running).
   double queue_wait_seconds = 0.0;
-  /// Picked -> batch flush (waiting for the batch to fill or its
-  /// deadline; 0 for subgraph requests, which never coalesce).
-  double batch_assembly_seconds = 0.0;
-  /// The detector Score() call that answered the request.
+  /// Subgraph: its detector Score() call. Node request: the rest of its
+  /// wait for its graph version's scores.
   double score_seconds = 0.0;
-  /// Requests answered by the same Score() call (1 for subgraphs).
-  int batch_size = 0;
   /// High-water mark of net tensor allocations on the scoring thread
-  /// during the Score() call that answered this request (the request's
-  /// peak live-tensor-bytes delta; shared across a batch).
+  /// during the Score() call that answered this request (shared by every
+  /// node request of one refresh; 0 on a cache hit).
   int64_t tensor_peak_bytes = 0;
 };
 
@@ -122,17 +119,29 @@ struct EngineStats {
 };
 
 /// Owns a fitted detector and a resident graph behind a fixed worker pool
-/// with a bounded request queue and dynamic micro-batching.
+/// with a bounded job queue.
 ///
 /// Two request shapes:
-///  * node requests — score node ids of the resident graph. Consecutive
-///    node requests coalesce into one detector Score() call per flush
-///    (size- or deadline-triggered), which is where the throughput win
-///    comes from: one full-graph scoring pass answers up to max_batch
-///    requests.
+///  * node requests — score node ids of the resident graph. The detector
+///    is transductive (one score per node per graph), so the engine runs
+///    one full-graph Score() per published graph version and answers
+///    every node request of that version by indexing the cached output:
+///    a hit answers inline on the submitting thread; a miss attaches to
+///    the single in-flight refresh job for the current version.
 ///  * subgraph requests — score a request-supplied graph (the inductive
-///    deployment shape). Executed singly; distinct graphs cannot share a
-///    Score() call.
+///    deployment shape). One Score() call per request.
+///
+/// Invariants:
+///  * read-your-writes — a node request submitted after Ingest() returned
+///    is answered from that batch's snapshot or a newer one; it never
+///    attaches to a refresh of an older version, and an older output is
+///    never installed over a newer one.
+///  * no pinning — the cache holds one DetectorOutput keyed by version
+///    number, never a graph snapshot, and a refresh takes the latest
+///    snapshot only when a worker starts it, so a retired N x D snapshot
+///    is freed once no running Score() call uses it.
+///  * errors are not cached — a refresh that fails (e.g. non-finite
+///    scores) answers its waiters with the error and installs nothing.
 ///
 /// Scores are computed by the same Score() the offline path uses, so
 /// served values are bit-identical to in-process scoring.
@@ -140,10 +149,10 @@ class ScoringEngine {
  public:
   /// Completion hook of the *Async submission shape. Invoked exactly once
   /// — inline on the submitting thread for fast-fail rejections
-  /// (validation, full queue, stopped engine), otherwise on the batch
-  /// worker that executed the request. The epoll transport rides this:
-  /// its dispatch worker returns immediately and the HTTP Responder fires
-  /// from inside the callback.
+  /// (validation, full queue, stopped engine) and score-cache hits,
+  /// otherwise on the worker that ran the request's Score() call. The
+  /// epoll transport rides this: its dispatch worker returns immediately
+  /// and the HTTP Responder fires from inside the callback.
   using ScoreCallback = std::function<void(Result<ScoreResult>)>;
 
   /// Takes ownership of a fitted (or bundle-restored) detector and the
@@ -213,30 +222,29 @@ class ScoringEngine {
   /// the returned pointer pins that version, nothing more.
   std::shared_ptr<const AttributedGraph> CurrentGraph() const;
 
-  /// Graceful shutdown: rejects new submissions, drains every queued
-  /// request, joins the workers. Idempotent.
+  /// Graceful shutdown: rejects new submissions, drains every queued job
+  /// (so every admitted request, refresh waiters included, is answered),
+  /// joins the workers. Idempotent.
   void Shutdown();
 
-  /// Enqueues a node-scoring request against the resident graph. The
-  /// returned future resolves when its batch executes. Fails fast (error
-  /// future) on invalid node ids, a full queue, or a stopped engine.
-  /// `request_id` tags the request's StageTiming, access-log line, and
-  /// trace flow events; 0 lets the engine assign one (NextRequestId).
-  std::future<Result<ScoreResult>> SubmitNodes(std::vector<int> nodes,
-                                               uint64_t request_id = 0);
-
-  /// Enqueues a request to score `graph` (scores every node of it).
-  std::future<Result<ScoreResult>> SubmitGraph(AttributedGraph graph,
-                                               uint64_t request_id = 0);
-
-  /// Callback-shaped submissions: same validation, batching, and error
-  /// taxonomy as the future-returning forms, but completion is delivered
-  /// by invoking `done` instead of resolving a future — no thread ever
-  /// blocks on a result.
+  /// Scores node ids of the resident graph. `done` fires once with the
+  /// result: inline on a score-cache hit or a fast-fail rejection (invalid
+  /// node ids, full queue, stopped engine), otherwise from the refresh job
+  /// that scores the current graph version. `request_id` tags the
+  /// request's StageTiming, access-log line, and trace flow events; 0
+  /// lets the engine assign one (NextRequestId).
   void SubmitNodesAsync(std::vector<int> nodes, uint64_t request_id,
                         ScoreCallback done);
+  /// Queues a request to score `graph` (scores every node of it).
   void SubmitGraphAsync(AttributedGraph graph, uint64_t request_id,
                         ScoreCallback done);
+
+  /// Future-returning forms of the *Async calls (same validation, cache,
+  /// and error taxonomy).
+  std::future<Result<ScoreResult>> SubmitNodes(std::vector<int> nodes,
+                                               uint64_t request_id = 0);
+  std::future<Result<ScoreResult>> SubmitGraph(AttributedGraph graph,
+                                               uint64_t request_id = 0);
 
   /// Blocking conveniences over the Submit calls.
   Result<ScoreResult> ScoreNodes(std::vector<int> nodes,
@@ -251,7 +259,7 @@ class ScoringEngine {
   const AttributedGraph& graph() const { return *boot_graph_; }
   const EngineConfig& config() const { return config_; }
 
-  /// Detector Score() invocations so far (== flushed batches).
+  /// Detector Score() invocations so far (refreshes plus subgraphs).
   int64_t score_calls() const {
     return score_calls_.load(std::memory_order_relaxed);
   }
@@ -263,35 +271,40 @@ class ScoringEngine {
   EngineStats stats() const;
 
  private:
+  /// One admitted request awaiting its answer.
   struct Pending {
-    std::vector<int> nodes;                             // Node request.
-    std::shared_ptr<const AttributedGraph> subgraph;    // Subgraph request.
-    std::promise<Result<ScoreResult>> promise;
-    /// Non-null for *Async submissions; completion then goes through the
-    /// callback and the promise is never touched.
+    std::vector<int> nodes;                           // Node request.
+    std::shared_ptr<const AttributedGraph> subgraph;  // Subgraph request.
     ScoreCallback callback;
     uint64_t request_id = 0;
-    std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point dequeued;
+    std::chrono::steady_clock::time_point admitted;
+  };
+  /// One queue entry, one Score() call: a subgraph request, or (with no
+  /// request) the refresh answering the node requests that wait on graph
+  /// version `version` in refreshing_.
+  struct Job {
+    std::optional<Pending> subgraph_request;
+    uint64_t version = 0;
   };
 
-  std::future<Result<ScoreResult>> Submit(Pending pending);
-  /// Enqueue path shared by the future and callback shapes. Returns Ok
-  /// when the request was queued; otherwise the caller delivers the
-  /// status itself (the rejection was already counted).
-  Status Enqueue(Pending* pending);
+  /// Admission under mu_: Ok, or why the request is turned away. Stamps
+  /// the request and counts it in serve.requests.total either way. Only a
+  /// request that `waits` (anything but a cache hit) takes a backlog slot,
+  /// so only those can be shed.
+  Status AdmitLocked(Pending* pending, bool waits);
+  /// Counts a rejection from AdmitLocked and delivers it to the caller.
+  void Reject(Pending* pending, const Status& status);
   /// Fast-fail validation shared by both submission shapes; a failure is
   /// counted as a rejected request.
-  Status ValidateNodes(const std::vector<int>& nodes) const;
+  Status ValidateNodes(const std::vector<int>& nodes, int resident) const;
   Status ValidateSubgraph(const AttributedGraph& graph) const;
-  static StageTiming TimingFor(
-      const Pending& pending,
-      std::chrono::steady_clock::time_point score_start, double score_seconds,
-      int batch_size, int64_t tensor_peak_bytes);
   void WorkerLoop();
-  void ExecuteBatch(std::vector<Pending> batch);
-  void ExecuteSubgraph(Pending pending);
-  void FinishRequest(Pending* pending, Result<ScoreResult> result);
+  void RunJob(Job job);
+  /// Answers one node request from `out` (the scores of its version).
+  void AnswerNodes(Pending* pending, const detectors::DetectorOutput& out,
+                   const StageTiming& timing);
+  void FinishRequest(Pending* pending, Result<ScoreResult> result,
+                     const StageTiming& timing);
 
   const std::unique_ptr<detectors::OutlierDetector> detector_;
   const std::shared_ptr<const AttributedGraph> boot_graph_;
@@ -309,23 +322,30 @@ class ScoringEngine {
   std::vector<int> last_watchlist_nodes_;
   WatchlistChangeCallback watchlist_callback_;  // Set before Start().
   std::shared_ptr<const obs::ModelFingerprint> fingerprint_;
-  mutable std::mutex graph_mu_;  // Guards current_graph_ only.
+  mutable std::mutex graph_mu_;  // Guards current_graph_ + graph_version_.
   std::shared_ptr<const AttributedGraph> current_graph_;
+  /// Bumped by every Ingest() publish; the boot graph is version 0.
+  uint64_t graph_version_ = 0;
   /// True while a compaction snapshot swap is in flight (readiness gate).
   std::atomic<bool> compacting_{false};
-  /// Monotone node count of the latest published snapshot; SubmitNodes
-  /// validates against this without touching the stream mutex. Safe
-  /// because streaming only ever grows the node set.
-  std::atomic<int> resident_nodes_{0};
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Pending> queue_;
+  std::deque<Job> queue_;
+  /// Admitted requests still waiting — queued subgraphs plus refresh
+  /// waiters: the depth max_queue bounds (serve.queue.depth).
+  int backlog_ = 0;
+  /// Node requests waiting on the in-flight refresh of each version.
+  std::map<uint64_t, std::vector<Pending>> refreshing_;
+  /// Scores of graph version cached_version_; null until the first
+  /// refresh succeeds.
+  std::shared_ptr<const detectors::DetectorOutput> cached_;
+  uint64_t cached_version_ = 0;
   std::vector<std::thread> workers_;
   bool started_ = false;
   bool stopping_ = false;
   // Atomics, not mutex-guarded ints: bumped from every pool worker on the
-  // request hot path, where taking mu_ would contend with the batch queue.
+  // request hot path, where taking mu_ would contend with the job queue.
   std::atomic<int64_t> score_calls_{0};
   std::atomic<int64_t> requests_served_{0};
   std::atomic<int64_t> shed_count_{0};

@@ -38,10 +38,8 @@ int64_t SecondsToMicros(double seconds) {
 /// Copies the engine's stage breakdown into the request's access record
 /// (seconds -> integer microseconds, the log's unit).
 void RecordEngineTiming(const StageTiming& timing, AccessRecord* record) {
-  record->batch_size = timing.batch_size;
   record->tensor_peak_bytes = timing.tensor_peak_bytes;
   record->queue_wait_us = SecondsToMicros(timing.queue_wait_seconds);
-  record->batch_assembly_us = SecondsToMicros(timing.batch_assembly_seconds);
   record->score_us = SecondsToMicros(timing.score_seconds);
 }
 
@@ -419,8 +417,8 @@ void ScoringServer::Handle(const HttpRequest& request,
 
   // Finalization (status class, total latency, access log, slow ring) is
   // bound into the completion so it runs on whichever thread answers —
-  // inline for the debug/health endpoints, an engine batch worker for
-  // /score.
+  // inline for the debug/health endpoints and score-cache hits, an engine
+  // worker for /score requests that wait on a Score() call.
   Done done = [this, start, record,
                respond = std::move(respond)](HttpResponse response) {
     record->status = response.status;
@@ -811,12 +809,10 @@ int RunServer(const ServerOptions& options, const std::atomic<bool>* stop) {
   }
   // Machine-readable startup banner; check_serve.py parses the port.
   std::printf("vgod_serve listening on 127.0.0.1:%d (detector=%s nodes=%d "
-              "threads=%d max_batch=%d max_delay_us=%d streaming=%s)\n",
+              "threads=%d streaming=%s)\n",
               server.port(), server.engine().detector().name().c_str(),
               server.engine().graph().num_nodes(),
-              options.engine.num_threads, options.engine.max_batch,
-              options.engine.max_delay_us,
-              options.streaming ? "on" : "off");
+              options.engine.num_threads, options.streaming ? "on" : "off");
   std::fflush(stdout);
 
   while (!stop->load(std::memory_order_relaxed)) {

@@ -115,7 +115,8 @@ class ScoringServer {
  private:
   /// One response delivery, invoked exactly once, from whichever thread
   /// completes the request (a transport dispatch worker for inline
-  /// endpoints, an engine batch worker for /score).
+  /// endpoints and score-cache hits, an engine worker for /score requests
+  /// that wait on a Score() call).
   using Done = std::function<void(HttpResponse)>;
 
   void Handle(const HttpRequest& request, HttpServer::Responder respond);

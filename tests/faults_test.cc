@@ -334,6 +334,35 @@ TEST_F(FaultsTest, EngineRejectsInjectedNanScores) {
   engine.Shutdown();
 }
 
+// A refresh that produced non-finite scores must not be cached: the next
+// lookup of the same graph version scores again and succeeds.
+TEST_F(FaultsTest, EngineDoesNotCacheNonFiniteScores) {
+  AttributedGraph graph = TestGraph();
+  auto detector = std::make_unique<DegNorm>();
+  ASSERT_TRUE(detector->Fit(graph).ok());
+  serve::ScoringEngine engine(std::move(detector), graph, {});
+  ASSERT_TRUE(engine.Start().ok());
+
+  ASSERT_TRUE(faults::Arm("serve.score=nan").ok());
+  Result<serve::ScoreResult> poisoned = engine.ScoreNodes({3});
+  // Internal is what the HTTP layer answers with a 500.
+  EXPECT_EQ(poisoned.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(engine.score_calls(), 1);
+
+  faults::Disarm();
+  Result<serve::ScoreResult> recomputed = engine.ScoreNodes({3});
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  EXPECT_EQ(engine.score_calls(), 2);
+  DegNorm reference;
+  ASSERT_TRUE(reference.Fit(graph).ok());
+  EXPECT_EQ(recomputed.value().score[0], reference.Score(graph).score[3]);
+
+  // That success is cached: the next lookup does not score again.
+  ASSERT_TRUE(engine.ScoreNodes({4}).ok());
+  EXPECT_EQ(engine.score_calls(), 2);
+  engine.Shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Dataset IO under hostile files and injected failures.
 

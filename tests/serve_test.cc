@@ -1,6 +1,6 @@
 // Tests for the serving subsystem: model bundles (round-trip and loud
-// failure on corrupt/mismatched files), the micro-batching scoring
-// engine, registry thread-safety, and a concurrent-client smoke test
+// failure on corrupt/mismatched files), the score-once-per-graph-version
+// scoring engine, registry thread-safety, and a concurrent-client smoke test
 // against a live HTTP scoring server.
 #include <gtest/gtest.h>
 
@@ -35,6 +35,7 @@
 #include "serve/engine.h"
 #include "serve/http.h"
 #include "serve/server.h"
+#include "stream/events.h"
 
 namespace vgod {
 namespace {
@@ -254,42 +255,42 @@ TEST(ScoringEngineTest, ServedScoresMatchInProcessScore) {
   engine->Shutdown();
 }
 
-TEST(ScoringEngineTest, BatcherFlushesOnSize) {
+TEST(ScoringEngineTest, ConcurrentNodeRequestsShareOneScoreCall) {
   AttributedGraph graph = TestGraph();
+  DegNorm reference;
+  ASSERT_TRUE(reference.Fit(graph).ok());
+  const DetectorOutput expected = reference.Score(graph);
+
   serve::EngineConfig config;
-  config.num_threads = 1;
-  config.max_batch = 3;
-  config.max_delay_us = 10'000'000;  // Effectively never; size must flush.
+  config.num_threads = 2;
   auto engine = MakeDegNormEngine(graph, config);
   ASSERT_TRUE(engine->Start().ok());
 
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<Result<serve::ScoreResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(engine->SubmitNodes({i}));
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  const double elapsed_s = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
+  constexpr int kRequests = 16;
+  std::vector<Result<serve::ScoreResult>> replies(
+      kRequests, Status::Internal("not answered"));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kRequests; ++i) {
+    clients.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      replies[i] = engine->ScoreNodes({i, (i * 7 + 3) % graph.num_nodes()});
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& client : clients) client.join();
 
-  EXPECT_EQ(engine->score_calls(), 1);  // One Score() answered all three.
-  EXPECT_LT(elapsed_s, 5.0);  // Flushed on size, not the 10s deadline.
-  engine->Shutdown();
-}
-
-TEST(ScoringEngineTest, BatcherFlushesOnDeadline) {
-  AttributedGraph graph = TestGraph();
-  serve::EngineConfig config;
-  config.num_threads = 1;
-  config.max_batch = 100;  // Unreachable; the deadline must flush.
-  config.max_delay_us = 30'000;
-  auto engine = MakeDegNormEngine(graph, config);
-  ASSERT_TRUE(engine->Start().ok());
-
-  std::vector<std::future<Result<serve::ScoreResult>>> futures;
-  futures.push_back(engine->SubmitNodes({1}));
-  futures.push_back(engine->SubmitNodes({2}));
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  // The static graph is one version: a single Score() answers everyone,
+  // whether a request waited on the refresh or hit the cache after it.
   EXPECT_EQ(engine->score_calls(), 1);
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(replies[i].ok()) << replies[i].status().ToString();
+    const serve::ScoreResult& reply = replies[i].value();
+    ASSERT_EQ(reply.nodes.size(), 2u);
+    for (size_t k = 0; k < reply.nodes.size(); ++k) {
+      EXPECT_EQ(reply.score[k], expected.score[reply.nodes[k]]);
+    }
+  }
   engine->Shutdown();
 }
 
@@ -335,14 +336,18 @@ TEST(ScoringEngineTest, SubgraphScoringMatchesAndValidatesSchema) {
 }
 
 // A detector whose Score() blocks until the test releases it — used to
-// deterministically fill the bounded queue.
+// deterministically fill the bounded queue. With `blocked_edges` set, only
+// graphs with that many directed edges block. Every node scores the
+// graph's edge count, so replies tell graph versions apart.
 class BlockingDetector : public OutlierDetector {
  public:
+  explicit BlockingDetector(int64_t blocked_edges = -1)
+      : blocked_edges_(blocked_edges) {}
   std::string name() const override { return "Blocking"; }
   Status Fit(const AttributedGraph&) override { return Status::Ok(); }
 
   DetectorOutput Score(const AttributedGraph& graph) const override {
-    {
+    if (blocked_edges_ < 0 || graph.num_directed_edges() == blocked_edges_) {
       std::unique_lock<std::mutex> lock(mu_);
       ++entered_;
       entered_cv_.notify_all();
@@ -350,7 +355,8 @@ class BlockingDetector : public OutlierDetector {
       --tokens_;
     }
     DetectorOutput out;
-    out.score.assign(graph.num_nodes(), 1.0);
+    out.score.assign(graph.num_nodes(),
+                     static_cast<double>(graph.num_directed_edges()));
     return out;
   }
 
@@ -368,6 +374,7 @@ class BlockingDetector : public OutlierDetector {
   }
 
  private:
+  const int64_t blocked_edges_;
   mutable std::mutex mu_;
   mutable std::condition_variable entered_cv_;
   mutable std::condition_variable release_cv_;
@@ -382,25 +389,29 @@ TEST(ScoringEngineTest, StageTimingThreadsThroughRequests) {
   auto engine = MakeDegNormEngine(graph, config);
   ASSERT_TRUE(engine->Start().ok());
 
-  // Caller-supplied id is echoed back through the timing record.
+  // Caller-supplied id is echoed back through the timing record. The
+  // first node request misses the score cache and waits for the refresh.
   Result<serve::ScoreResult> tagged = engine->ScoreNodes({0, 1}, 12345);
   ASSERT_TRUE(tagged.ok()) << tagged.status().ToString();
   EXPECT_EQ(tagged.value().timing.request_id, 12345u);
-  EXPECT_GE(tagged.value().timing.batch_size, 1);
   EXPECT_GE(tagged.value().timing.queue_wait_seconds, 0.0);
-  EXPECT_GE(tagged.value().timing.batch_assembly_seconds, 0.0);
   EXPECT_GT(tagged.value().timing.score_seconds, 0.0);
 
-  // With no caller id the engine assigns a nonzero one.
+  // With no caller id the engine assigns a nonzero one. Same graph
+  // version, so this is a cache hit: no queue, no scoring wait.
   Result<serve::ScoreResult> assigned = engine->ScoreNodes({2});
   ASSERT_TRUE(assigned.ok());
   EXPECT_GT(assigned.value().timing.request_id, 0u);
+  EXPECT_EQ(assigned.value().timing.queue_wait_seconds, 0.0);
+  EXPECT_EQ(assigned.value().timing.score_seconds, 0.0);
+  EXPECT_EQ(engine->score_calls(), 1);
 
-  // Subgraph requests time the same stages with batch_size 1.
+  // Subgraph requests always run their own Score() call.
   Result<serve::ScoreResult> subgraph = engine->ScoreGraph(graph, 777);
   ASSERT_TRUE(subgraph.ok());
   EXPECT_EQ(subgraph.value().timing.request_id, 777u);
-  EXPECT_EQ(subgraph.value().timing.batch_size, 1);
+  EXPECT_GT(subgraph.value().timing.score_seconds, 0.0);
+  EXPECT_EQ(engine->score_calls(), 2);
 
   // The stage histograms saw every request.
   obs::Histogram* queue_wait = obs::MetricsRegistry::Global().GetHistogram(
@@ -423,44 +434,106 @@ TEST(ScoringEngineTest, FullQueueShedsLoad) {
   const BlockingDetector* control = blocking.get();
   serve::EngineConfig config;
   config.num_threads = 1;
-  config.max_batch = 1;
   config.max_queue = 1;
   ScoringEngine engine(std::move(blocking), graph, config);
   ASSERT_TRUE(engine.Start().ok());
 
-  // First request occupies the worker (blocked inside Score)...
+  // The first request misses the cache and waits on a refresh that blocks
+  // inside Score(); as a waiter it holds the one backlog slot...
   std::future<Result<serve::ScoreResult>> first = engine.SubmitNodes({0});
   control->WaitForScoreEntry(1);
-  // ...second fills the queue; third must be shed with an error, fast.
-  std::future<Result<serve::ScoreResult>> second = engine.SubmitNodes({1});
-  Result<serve::ScoreResult> shed = engine.SubmitNodes({2}).get();
-  EXPECT_FALSE(shed.ok());
+  // ...so the next lookup and a subgraph request are both shed, fast.
+  Result<serve::ScoreResult> shed_nodes = engine.SubmitNodes({1}).get();
+  EXPECT_EQ(shed_nodes.status().code(), StatusCode::kOutOfRange);
+  Result<serve::ScoreResult> shed_graph = engine.SubmitGraph(graph).get();
+  EXPECT_EQ(shed_graph.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(engine.stats().shed, 2);
 
-  control->Release(2);
+  control->Release(1);
   EXPECT_TRUE(first.get().ok());
-  EXPECT_TRUE(second.get().ok());
+  // The refresh answered its waiter and freed the slot; the version is now
+  // cached, so lookups are answered without scoring again.
+  EXPECT_TRUE(engine.ScoreNodes({1}).ok());
+  EXPECT_EQ(engine.score_calls(), 1);
+  engine.Shutdown();
+}
+
+TEST(ScoringEngineTest, LookupAfterIngestNeverWaitsOnAnOlderRefresh) {
+  AttributedGraph graph = TestGraph();
+  const double boot_edges = static_cast<double>(graph.num_directed_edges());
+  auto blocking =
+      std::make_unique<BlockingDetector>(graph.num_directed_edges());
+  const BlockingDetector* control = blocking.get();
+  serve::EngineConfig config;
+  config.num_threads = 2;
+  ScoringEngine engine(std::move(blocking), graph, config);
+  ASSERT_TRUE(engine.EnableStreaming().ok());
+  ASSERT_TRUE(engine.Start().ok());
+
+  // A refresh of the boot graph is blocked inside Score()...
+  std::future<Result<serve::ScoreResult>> stale = engine.SubmitNodes({0});
+  control->WaitForScoreEntry(1);
+  // ...when an ingest publishes version 1.
+  int absent = 1;
+  while (graph.HasEdge(0, absent)) ++absent;
+  stream::EventBatch batch;
+  batch.events.push_back(stream::GraphEvent::AddEdge(0, absent));
+  ASSERT_TRUE(engine.Ingest(batch).ok());
+  const double new_edges =
+      static_cast<double>(engine.CurrentGraph()->num_directed_edges());
+  ASSERT_NE(new_edges, boot_edges);
+
+  // A lookup sent after Ingest() returned sees the batch: it gets its own
+  // refresh instead of waiting on the boot graph's.
+  Result<serve::ScoreResult> fresh = engine.ScoreNodes({0});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value().score[0], new_edges);
+
+  // The older refresh finishes last: it answers its own waiter but does
+  // not replace the newer cached scores.
+  control->Release(1);
+  Result<serve::ScoreResult> stale_reply = stale.get();
+  ASSERT_TRUE(stale_reply.ok());
+  EXPECT_EQ(stale_reply.value().score[0], boot_edges);
+  Result<serve::ScoreResult> cached = engine.ScoreNodes({1});
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached.value().score[0], new_edges);
+  EXPECT_EQ(engine.score_calls(), 2);
   engine.Shutdown();
 }
 
 TEST(ScoringEngineTest, ShutdownDrainsInFlightWork) {
   AttributedGraph graph = TestGraph();
+  auto blocking = std::make_unique<BlockingDetector>();
+  const BlockingDetector* control = blocking.get();
   serve::EngineConfig config;
-  config.num_threads = 2;
-  config.max_batch = 4;
-  auto engine = MakeDegNormEngine(graph, config);
-  ASSERT_TRUE(engine->Start().ok());
+  config.num_threads = 1;
+  ScoringEngine engine(std::move(blocking), graph, config);
+  ASSERT_TRUE(engine.Start().ok());
 
+  // Node requests wait on one refresh blocked inside Score(); subgraph
+  // requests queue behind it.
   std::vector<std::future<Result<serve::ScoreResult>>> futures;
-  for (int i = 0; i < 16; ++i) futures.push_back(engine->SubmitNodes({i}));
-  engine->Shutdown();
-  // Every accepted request resolved (successfully or with a drain error);
-  // none may be abandoned.
+  futures.push_back(engine.SubmitNodes({0}));
+  control->WaitForScoreEntry(1);
+  for (int i = 1; i < 8; ++i) futures.push_back(engine.SubmitNodes({i}));
+  for (int i = 0; i < 2; ++i) futures.push_back(engine.SubmitGraph(graph));
+
+  std::thread stopper([&engine] { engine.Shutdown(); });
+  // Shutdown closes admission before it drains.
+  std::string reason;
+  while (engine.Ready(&reason)) std::this_thread::yield();
+  EXPECT_FALSE(engine.ScoreNodes({0}).ok());
+  control->Release(3);  // The refresh plus both subgraphs.
+  stopper.join();
+
+  // Every admitted request was answered by running it, not abandoned.
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
+    EXPECT_TRUE(f.get().ok());
   }
-  Result<serve::ScoreResult> after = engine->ScoreNodes({0});
-  EXPECT_FALSE(after.ok());
+  EXPECT_EQ(engine.score_calls(), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -879,12 +952,10 @@ TEST(AccessLogTest, RecordJsonRoundTrips) {
   record.path = "/score";
   record.status = 503;
   record.num_nodes = 4;
-  record.batch_size = 2;
   record.shed = true;
   record.error_class = "unavailable";
   record.parse_us = 10;
   record.queue_wait_us = 20;
-  record.batch_assembly_us = 30;
   record.score_us = 40;
   record.serialize_us = 50;
   record.total_us = 160;
@@ -897,7 +968,6 @@ TEST(AccessLogTest, RecordJsonRoundTrips) {
   EXPECT_EQ(root.at("path").string_value(), "/score");
   EXPECT_EQ(root.at("status").number(), 503.0);
   EXPECT_EQ(root.at("nodes").number(), 4.0);
-  EXPECT_EQ(root.at("batch_size").number(), 2.0);
   EXPECT_TRUE(root.at("shed").boolean());
   EXPECT_EQ(root.at("error_class").string_value(), "unavailable");
   EXPECT_EQ(root.at("queue_wait_us").number(), 20.0);
@@ -1056,7 +1126,6 @@ TEST(ScoringServerTest, DebugSlowReturnsStageBreakdowns) {
     prev_total = total;
     // The stage fields decompose the total.
     const double stage_sum = entry.at("queue_wait_us").number() +
-                             entry.at("batch_assembly_us").number() +
                              entry.at("score_us").number() +
                              entry.at("parse_us").number() +
                              entry.at("serialize_us").number();

@@ -364,8 +364,6 @@ std::unique_ptr<serve::ScoringEngine> StreamingEngine(
   VGOD_CHECK(detector->Fit(graph).ok());
   serve::EngineConfig engine_config;
   engine_config.num_threads = num_threads;
-  engine_config.max_batch = 4;
-  engine_config.max_delay_us = 200;
   auto engine = std::make_unique<serve::ScoringEngine>(
       std::move(detector), graph, engine_config);
   VGOD_CHECK(engine->EnableStreaming(stream_options).ok());
@@ -395,7 +393,7 @@ TEST(EngineStreamingTest, IngestAppliesAndPublishesSnapshots) {
   EXPECT_EQ(applied.value().num_nodes, n + 1);
 
   // The published snapshot reflects the mutation; the appended node is
-  // immediately scoreable through the batch path.
+  // immediately scoreable.
   EXPECT_TRUE(engine->CurrentGraph()->HasEdge(0, absent_v));
   EXPECT_EQ(engine->CurrentGraph()->num_nodes(), n + 1);
   Result<serve::ScoreResult> scored = engine->ScoreNodes({0, n});
@@ -426,6 +424,51 @@ TEST(EngineStreamingTest, IngestAppliesAndPublishesSnapshots) {
   engine->Shutdown();
   EXPECT_FALSE(engine->Ready(&reason));
   EXPECT_FALSE(engine->Ingest(batch).ok());
+}
+
+TEST(EngineStreamingTest, EachGraphVersionScoresOnce) {
+  AttributedGraph graph = StreamTestGraph(50, 37, 12);
+  std::unique_ptr<serve::ScoringEngine> engine = StreamingEngine(graph);
+  // Scoring is lazy: neither EnableStreaming() nor Start() scores.
+  EXPECT_EQ(engine->score_calls(), 0);
+
+  int absent_v = 3;
+  while (graph.HasEdge(1, absent_v)) {
+    absent_v = (absent_v + 1) % graph.num_nodes();
+    if (absent_v == 1) ++absent_v;
+  }
+  EventBatch batch;
+  batch.events.push_back(GraphEvent::AddEdge(1, absent_v));
+  batch.events.push_back(GraphEvent::UpdateAttributes(
+      2, std::vector<float>(graph.attribute_dim(), 0.25f)));
+  ASSERT_TRUE(engine->Ingest(batch).ok());
+
+  // The first read after the publish refreshes the new version once...
+  Result<serve::ScoreResult> first = engine->ScoreNodes({0, 1, 2});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(engine->score_calls(), 1);
+  // ...and the next read of the same version is answered from the cache.
+  Result<serve::ScoreResult> second = engine->ScoreNodes({1, absent_v});
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(engine->score_calls(), 1);
+
+  // Both reads saw the ingested batch, bit for bit.
+  const detectors::DetectorOutput expected =
+      engine->detector().Score(*engine->CurrentGraph());
+  for (const serve::ScoreResult* reply : {&first.value(), &second.value()}) {
+    for (size_t k = 0; k < reply->nodes.size(); ++k) {
+      EXPECT_EQ(reply->score[k], expected.score[reply->nodes[k]]);
+    }
+  }
+
+  // The next ingest publishes a new version: one more refresh.
+  EventBatch undo;
+  undo.events.push_back(GraphEvent::RemoveEdge(1, absent_v));
+  ASSERT_TRUE(engine->Ingest(undo).ok());
+  ASSERT_TRUE(engine->ScoreNodes({0}).ok());
+  ASSERT_TRUE(engine->ScoreNodes({1}).ok());
+  EXPECT_EQ(engine->score_calls(), 2);
+  engine->Shutdown();
 }
 
 TEST(EngineStreamingTest, IngestRequiresStreamingMode) {

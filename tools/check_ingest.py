@@ -104,7 +104,7 @@ def http_text(port, path, timeout=30):
 def start_server(serve_bin, bundle, graph, extra_flags):
     proc = subprocess.Popen(
         [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0", "--threads=2", "--max-batch=4", "--max-delay-us=500"]
+         "--port=0", "--threads=2"]
         + extra_flags,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 60

@@ -9,7 +9,9 @@ Exercises both profiler surfaces:
      node: sum of child inclusive_ns <= parent inclusive_ns, with
      exclusive_ns the exact remainder. The tree must contain the
      detector/kernel scopes the instrumentation promises.
-  2. A live `vgod_serve` under concurrent /score traffic must answer
+  2. A live `vgod_serve` under concurrent inline-subgraph /score traffic
+     (node lookups would read the score cache after the static graph's
+     one refresh; every inline subgraph runs its own Score()) must answer
      GET /debug/profile?seconds=N with a windowed capture in which the
      serve/score subtree exists and >= 90% of its inclusive time is
      attributed to named child scopes (detector/graph/kernel/gnn regions)
@@ -181,7 +183,7 @@ def check_cli_profile(cli, workdir):
 def start_server(serve_bin, bundle, graph):
     proc = subprocess.Popen(
         [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0", "--threads=2", "--max-batch=4", "--max-delay-us=500"],
+         "--port=0", "--threads=2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 60
     port = None
@@ -201,8 +203,18 @@ def start_server(serve_bin, bundle, graph):
     return proc, port
 
 
-def score_loop(port, stop_event):
-    body = json.dumps({"nodes": [0, 1, 2, 3, 4, 5, 6, 7]})
+def subgraph_body(dim, num_nodes=128):
+    """An inline /score subgraph with the served model's attribute schema:
+    a ring plus chords, deterministic pseudo-random attributes."""
+    edges = [[i, (i + step) % num_nodes]
+             for i in range(num_nodes) for step in (1, 5)]
+    attributes = [[((i * 31 + j * 17) % 97) / 97.0 for j in range(dim)]
+                  for i in range(num_nodes)]
+    return json.dumps({"graph": {"num_nodes": num_nodes, "edges": edges,
+                                 "attributes": attributes}})
+
+
+def score_loop(port, body, stop_event):
     while not stop_event.is_set():
         try:
             http(port, "POST", "/score", body, timeout=30)
@@ -235,10 +247,16 @@ def check_serve_profile(cli, serve_bin, workdir):
         check(status == 405, f"POST /debug/profile returned {status}, "
                              f"want 405")
 
+        status, health = http(port, "GET", "/healthz")
+        dim = json.loads(health).get("attribute_dim", 0) if status == 200 else 0
+        if not check(dim > 0, f"/healthz lacks attribute_dim: {health}"):
+            return
+        body = subgraph_body(dim)
+
         # Windowed capture under concurrent scoring traffic.
         stop_event = threading.Event()
         clients = [threading.Thread(target=score_loop,
-                                    args=(port, stop_event))
+                                    args=(port, body, stop_event))
                    for _ in range(3)]
         for client in clients:
             client.start()

@@ -9,9 +9,11 @@ Drives the full deployment loop documented in docs/SERVING.md:
   3. `vgod_serve` boots on an ephemeral port; the banner is parsed for the
      bound port.
   4. Concurrent HTTP clients hit POST /score; responses must match the
-     training-time scores. GET /healthz and GET /metrics are validated
-     (the serve.* counters and latency histograms must have moved), and a
-     malformed request must produce a 4xx, not a crash.
+     training-time scores, and the static graph must have been scored
+     exactly once (serve.engine.batches_flushed == 1: every lookup reads
+     the one cached score vector). GET /healthz and GET /metrics are
+     validated (the serve.* counters and latency histograms must have
+     moved), and a malformed request must produce a 4xx, not a crash.
   5. Request-scoped observability: every /score response's request_id
      must appear in the VGOD_ACCESS_LOG JSON log (one well-formed line
      per request, ids strictly increasing), the serve.stage.* histograms
@@ -24,9 +26,11 @@ Drives the full deployment loop documented in docs/SERVING.md:
      serve.transport.open_connections gauge must drain back to zero
      (the epoll reactor never spawns per-connection threads).
   7. SIGTERM must drain and exit 0.
-  8. `serve_loadgen --json` runs two-plus thread x batch configurations;
-     the JSON report must carry sane p50/p99/throughput numbers plus
-     per-stage quantiles.
+  8. `serve_loadgen --json` runs two-plus engine thread counts; the JSON
+     report must carry sane p50/p99/throughput numbers, one Score() call
+     per configuration, and per-stage quantiles.
+  9. The retired micro-batching flags (--max-batch, --max-delay-us) must
+     be refused as unknown options.
 
 Run directly (`python3 tools/check_serve.py --cli build/tools/vgod_cli
 --serve build/tools/vgod_serve --loadgen build/bench/serve_loadgen`) or
@@ -114,7 +118,7 @@ def start_server(serve_bin, bundle, graph, access_log=None):
         env["VGOD_ACCESS_LOG"] = str(access_log)
     proc = subprocess.Popen(
         [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0", "--threads=2", "--max-batch=4", "--max-delay-us=500",
+         "--port=0", "--threads=2",
          "--slow-ring=8"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
     deadline = time.monotonic() + 60
@@ -210,7 +214,7 @@ def check_prometheus(port, json_metrics):
             check(samples.get(prom_name) == want,
                   f"{prom_name} is {samples.get(prom_name)} in prometheus "
                   f"but {json_name} is {want} in JSON")
-        for stage in ("queue_wait", "batch_assembly", "score"):
+        for stage in ("queue_wait", "score"):
             prom = f"serve_stage_{stage}_seconds_count"
             check(samples.get(prom, 0) >= 4,
                   f"{prom} missing or empty in prometheus export")
@@ -310,10 +314,9 @@ def check_access_log(access_log, seen_request_ids):
           f"access log request ids are not unique: {sorted(ids)}")
     check(max(ids) - min(ids) + 1 >= len(ids),
           "access log ids are denser than a monotonic counter allows")
-    required = {"id", "path", "status", "nodes", "batch_size", "shed",
-                "error_class", "parse_us", "queue_wait_us",
-                "batch_assembly_us", "score_us", "serialize_us", "total_us",
-                "tensor_peak_bytes"}
+    required = {"id", "path", "status", "nodes", "shed", "error_class",
+                "parse_us", "queue_wait_us", "score_us", "serialize_us",
+                "total_us", "tensor_peak_bytes"}
     for record in records:
         check(required <= set(record),
               f"access log record lacks fields: {record}")
@@ -326,14 +329,16 @@ def check_access_log(access_log, seen_request_ids):
               if r.get("path") == "/score" and r.get("status") == 200]
     check(len(scored) >= len(seen_request_ids),
           "access log has fewer successful /score lines than clients saw")
+    # Lookups answered from the score cache have score_us 0; the ones that
+    # waited for the graph's one refresh carry its time.
+    check(any(r.get("score_us", 0) > 0 for r in scored),
+          "no successful /score line carries a score stage")
     for record in scored:
         check(record.get("total_us", 0) > 0,
               f"successful /score line has no total latency: {record}")
-        check(record.get("score_us", 0) > 0,
-              f"successful /score line has no score stage: {record}")
         stage_sum = sum(record.get(k, 0) for k in
-                        ("parse_us", "queue_wait_us", "batch_assembly_us",
-                         "score_us", "serialize_us"))
+                        ("parse_us", "queue_wait_us", "score_us",
+                         "serialize_us"))
         check(stage_sum <= record.get("total_us", 0) + 1000,
               f"stage micros exceed total latency: {record}")
 
@@ -433,20 +438,21 @@ def check_serving(cli, serve_bin, workdir):
                 "serve.request.latency.seconds")
             check(latency is not None and latency.get("count", 0) >= 4,
                   "serve.request.latency.seconds histogram did not move")
-            batch = metrics["histograms"].get("serve.batch.size")
-            check(batch is not None and batch.get("count", 0) >= 1,
-                  "serve.batch.size histogram did not move")
+            # Score once per graph version: the static graph's lookups all
+            # read one cached score vector.
+            flushed = metrics["gauges"].get("serve.engine.batches_flushed")
+            check(flushed == 1,
+                  f"static graph scored {flushed} times, want exactly 1")
 
             # Stage histograms: every stage populated, and the engine-side
             # stages decompose (a subset of) the end-to-end latency.
             stage_sum = 0.0
-            for stage in ("queue_wait", "batch_assembly", "score", "parse",
-                          "serialize"):
+            for stage in ("queue_wait", "score", "parse", "serialize"):
                 hist = metrics["histograms"].get(
                     f"serve.stage.{stage}.seconds")
                 if check(hist is not None and hist.get("count", 0) >= 4,
                          f"serve.stage.{stage}.seconds did not move"):
-                    if stage in ("queue_wait", "batch_assembly", "score"):
+                    if stage in ("queue_wait", "score"):
                         stage_sum += hist.get("sum", 0.0)
             latency_sum = latency.get("sum", 0.0) if latency else 0.0
             check(stage_sum <= latency_sum * 1.01 + 1e-6,
@@ -467,8 +473,8 @@ def check_serving(cli, serve_bin, workdir):
                 check(entry.get("id", 0) > 0,
                       "/debug/slow entry lacks a request id")
                 check(all(k in entry for k in
-                          ("parse_us", "queue_wait_us", "batch_assembly_us",
-                           "score_us", "serialize_us", "total_us")),
+                          ("parse_us", "queue_wait_us", "score_us",
+                           "serialize_us", "total_us")),
                       f"/debug/slow entry lacks stage fields: {entry}")
 
         check_connection_churn(proc, port)
@@ -487,6 +493,17 @@ def check_serving(cli, serve_bin, workdir):
     check_access_log(access_log, seen_request_ids)
 
 
+def check_retired_flags(serve_bin):
+    """The batching knobs were removed; a deployment still passing them
+    must fail loudly instead of silently running with a changed config."""
+    for flag in ("--max-batch=8", "--max-delay-us=1000"):
+        proc = subprocess.run([str(serve_bin), "--bundle=x", "--graph=y", flag],
+                              capture_output=True, text=True, timeout=60)
+        check(proc.returncode != 0 and "unknown option" in proc.stderr,
+              f"vgod_serve {flag} exited {proc.returncode}: "
+              f"{proc.stderr[-300:]}")
+
+
 def check_loadgen(loadgen, workdir):
     report_path = workdir / "loadgen.json"
     run([loadgen, "--clients=4", "--requests=8", f"--json={report_path}"],
@@ -501,17 +518,14 @@ def check_loadgen(loadgen, workdir):
     if not check(len(configs) >= 2,
                  f"loadgen must cover >= 2 configs, got {len(configs)}"):
         return
-    combos = {(c.get("threads"), c.get("max_batch")) for c in configs}
-    check(len(combos) >= 2, "loadgen configs are not distinct")
-    check(len({c.get("threads") for c in configs}) >= 2,
+    check(len({c.get("threads") for c in configs}) == len(configs),
           "loadgen must vary the thread count")
-    check(len({c.get("max_batch") for c in configs}) >= 2,
-          "loadgen must vary the batch size")
     for config in configs:
-        tag = f"t{config.get('threads')}b{config.get('max_batch')}"
+        tag = f"t{config.get('threads')}"
         check(config.get("requests", 0) > 0, f"{tag}: no requests recorded")
-        check(0 < config.get("score_calls", 0) <= config.get("requests", 0),
-              f"{tag}: score_calls outside (0, requests]")
+        check(config.get("score_calls") == 1,
+              f"{tag}: {config.get('score_calls')} Score() calls on a "
+              f"static graph, want exactly 1")
         p50, p99 = config.get("p50_ms", -1), config.get("p99_ms", -1)
         check(0 < p50 <= p99, f"{tag}: bad latency quantiles p50={p50} "
                               f"p99={p99}")
@@ -520,7 +534,7 @@ def check_loadgen(loadgen, workdir):
               f"{tag}: engine histogram p50 missing")
         stages = config.get("stages")
         if check(isinstance(stages, dict) and
-                 {"queue_wait", "batch_assembly", "score"} <= set(stages),
+                 {"queue_wait", "score"} <= set(stages),
                  f"{tag}: report lacks per-stage quantiles"):
             for stage_name, quantiles in stages.items():
                 s50 = quantiles.get("p50_ms", -1)
@@ -540,6 +554,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="vgod_serve_check_") as tmp:
         workdir = Path(tmp)
         check_serving(Path(args.cli), Path(args.serve), workdir)
+        check_retired_flags(Path(args.serve))
         check_loadgen(Path(args.loadgen), workdir)
 
     if ERRORS:

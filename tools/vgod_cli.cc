@@ -11,8 +11,7 @@
 //   vgod_cli eval --graph=g.graph --scores=scores.tsv
 //   vgod_cli export-bundle --model=prefix --detector=VGOD --output=m.vgodb
 //   vgod_cli serve --bundle=m.vgodb --graph=g.graph [--port=8080]
-//            [--threads=2] [--num_threads=N] [--max-batch=8]
-//            [--max-delay-us=1000]
+//            [--threads=2] [--num_threads=N] [--max-queue=1024]
 //
 // `generate` writes a simulated benchmark dataset (optionally with
 // injected outliers); `detect` trains a detector and prints/stores scores
@@ -80,8 +79,7 @@ int Usage() {
       "[--self-loop] [--row-normalize]\n"
       "  serve         --bundle=PATH --graph=PATH [--port=N] "
       "[--threads=N] [--num_threads=N]\n"
-      "                [--max-batch=N] [--max-delay-us=N] "
-      "[--max-queue=N] [--streaming]\n"
+      "                [--max-queue=N] [--streaming]\n"
       "                [--compact-every=N] [--watchlist-k=N] "
       "[--max-events=N]\n"
       "                [--alert-rules=PATH] [--webhook-url=URL] "
@@ -409,9 +407,8 @@ void HandleServeSignal(int) {
 
 int RunServe(const ArgParser& args) {
   Status valid = args.Validate({"bundle", "graph", "port", "threads",
-                                "num_threads", "max-batch", "max-delay-us",
-                                "max-queue", "streaming", "compact-every",
-                                "watchlist-k", "max-events",
+                                "num_threads", "max-queue", "streaming",
+                                "compact-every", "watchlist-k", "max-events",
                                 "max-connections", "idle-timeout-ms",
                                 "dispatch-threads", "alert-rules",
                                 "webhook-url", "monitor-interval",
@@ -428,9 +425,6 @@ int RunServe(const ArgParser& args) {
   options.engine.num_threads = static_cast<int>(args.GetInt("threads", 2));
   options.engine.intra_op_threads =
       static_cast<int>(args.GetInt("num_threads", 0));
-  options.engine.max_batch = static_cast<int>(args.GetInt("max-batch", 8));
-  options.engine.max_delay_us =
-      static_cast<int>(args.GetInt("max-delay-us", 1000));
   options.engine.max_queue =
       static_cast<int>(args.GetInt("max-queue", 1024));
   options.streaming = args.GetBool("streaming");

@@ -1,8 +1,8 @@
 // vgod_serve — the standalone scoring server.
 //
 //   vgod_serve --bundle=model.vgodb --graph=g.graph [--port=8080]
-//              [--threads=2] [--num_threads=N] [--max-batch=8]
-//              [--max-delay-us=1000] [--max-queue=1024] [--slow-ring=16]
+//              [--threads=2] [--num_threads=N] [--max-queue=1024]
+//              [--slow-ring=16]
 //
 // Loads a model bundle (exported by `vgod_cli detect --save-bundle` or
 // `vgod_cli export-bundle`) and the resident graph, then serves
@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   Status valid = args.value().Validate({"bundle", "graph", "port", "threads",
-                                        "num_threads", "max-batch",
-                                        "max-delay-us", "max-queue",
+                                        "num_threads", "max-queue",
                                         "slow-ring", "streaming",
                                         "compact-every", "watchlist-k",
                                         "max-events", "max-connections",
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: vgod_serve --bundle=PATH --graph=PATH [--port=N]\n"
                  "                  [--threads=N] [--num_threads=N]\n"
-                 "                  [--max-batch=N] [--max-delay-us=N]\n"
                  "                  [--max-queue=N] [--slow-ring=N]\n"
                  "                  [--streaming] [--compact-every=N]\n"
                  "                  [--watchlist-k=N] [--max-events=N]\n"
@@ -81,10 +79,6 @@ int main(int argc, char** argv) {
   // the VGOD_NUM_THREADS / hardware default (docs/PARALLELISM.md).
   options.engine.intra_op_threads =
       static_cast<int>(args.value().GetInt("num_threads", 0));
-  options.engine.max_batch =
-      static_cast<int>(args.value().GetInt("max-batch", 8));
-  options.engine.max_delay_us =
-      static_cast<int>(args.value().GetInt("max-delay-us", 1000));
   options.engine.max_queue =
       static_cast<int>(args.value().GetInt("max-queue", 1024));
   options.slow_ring =
