@@ -2,7 +2,6 @@
 
 #include "core/faultinject.h"
 #include "detectors/divergence.h"
-#include "detectors/serialize.h"
 #include "graph/graph_ops.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -124,19 +123,6 @@ DetectorOutput Arm::Score(const AttributedGraph& graph) const {
   return out;
 }
 
-Status Arm::Save(const std::string& path) const {
-  if (!in_transform_.has_value()) {
-    return Status::FailedPrecondition("Fit() before Save()");
-  }
-  return SaveParameterList(Parameters(), path);
-}
-
-Status Arm::Load(const std::string& path) {
-  Result<std::vector<Tensor>> tensors = LoadParameterList(path);
-  if (!tensors.ok()) return tensors.status();
-  return RestoreParameters(tensors.value());
-}
-
 Status Arm::RestoreParameters(const std::vector<Tensor>& tensors) {
   if (tensors.empty()) {
     return Status::InvalidArgument("ARM: empty parameter list");
@@ -176,7 +162,7 @@ Result<ModelBundle> Arm::ExportBundle() const {
 }
 
 Status Arm::RestoreFromBundle(const ModelBundle& bundle) {
-  if (!bundle.detector.empty() && bundle.detector != name()) {
+  if (bundle.detector != name()) {
     return Status::InvalidArgument("bundle is for detector '" +
                                    bundle.detector + "', not " + name());
   }

@@ -49,13 +49,6 @@ class Arm : public OutlierDetector {
 
   const ArmConfig& config() const { return config_; }
 
-  /// Persists all trained parameters (requires a prior Fit).
-  Status Save(const std::string& path) const;
-
-  /// Restores a model saved by Save(). The stored shapes must match this
-  /// model's config (hidden dim, layer count, backbone).
-  Status Load(const std::string& path);
-
   /// Bundle persistence (bundle.h): the config JSON carries hidden_dim,
   /// num_layers, the GNN backbone name, and row_normalize_attributes.
   bool supports_bundles() const override { return true; }

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "core/faultinject.h"
-#include "detectors/serialize.h"
 
 namespace vgod::detectors {
 namespace {
@@ -116,14 +115,6 @@ Result<ModelBundle> LoadBundle(const std::string& path) {
     return Status::InvalidArgument("not a vgod bundle (too short): " + path);
   }
   if (std::memcmp(magic, kBundleMagic, 8) != 0) {
-    // Legacy fallback: the plain-text parameter dump of serialize.h.
-    if (std::memcmp(magic, "vgod-par", 8) == 0) {
-      Result<std::vector<Tensor>> tensors = LoadParameterList(path);
-      if (!tensors.ok()) return tensors.status();
-      ModelBundle bundle;
-      bundle.params = std::move(tensors).value();
-      return bundle;
-    }
     return Status::InvalidArgument("not a vgod bundle (bad magic): " + path);
   }
   uint32_t version = 0;
@@ -197,6 +188,26 @@ Result<ModelBundle> LoadBundle(const std::string& path) {
     return Status::InvalidArgument("bundle checksum mismatch: " + path);
   }
   return bundle;
+}
+
+Status AssignParameters(const std::vector<Tensor>& values,
+                        std::vector<Variable>* params) {
+  if (values.size() != params->size()) {
+    return Status::InvalidArgument(
+        "parameter count mismatch: bundle has " +
+        std::to_string(values.size()) + ", model expects " +
+        std::to_string(params->size()));
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!values[i].SameShape((*params)[i].value())) {
+      return Status::InvalidArgument(
+          "parameter " + std::to_string(i) + " shape mismatch: bundle " +
+          values[i].ShapeString() + ", model " +
+          (*params)[i].value().ShapeString());
+    }
+    (*params)[i].SetValue(values[i]);
+  }
+  return Status::Ok();
 }
 
 }  // namespace vgod::detectors

@@ -6,16 +6,18 @@
 
 #include "core/status.h"
 #include "obs/json.h"
+#include "tensor/autograd.h"
 #include "tensor/tensor.h"
 
 namespace vgod::detectors {
 
 // Versioned binary checkpoint ("model bundle") for trained detectors — the
-// deployment artifact that vgod_serve loads. Unlike the legacy
-// serialize.{h,cc} text dump, a bundle is self-describing: it names the
-// detector, carries the architecture config as JSON, and checksums the
-// parameter payload, so a load against the wrong model fails loudly
-// instead of silently mis-assigning weights.
+// one model file format: `vgod_cli detect --save-bundle` writes it and
+// vgod_serve loads it, so a model trained once scores fresh graphs in
+// another process (the paper's inductive setting). A bundle is
+// self-describing: it names the detector, carries the architecture config
+// as JSON, and checksums the parameter payload, so a load against the
+// wrong model fails loudly instead of silently mis-assigning weights.
 //
 // On-disk layout (all integers little-endian):
 //   8 bytes   magic "VGODBNDL"
@@ -51,12 +53,14 @@ std::string ConfigString(const obs::JsonValue& config, const std::string& key,
                          const std::string& fallback);
 
 /// Reads a bundle written by SaveBundle. Rejects bad magic, unknown
-/// format versions, truncated payloads, and checksum mismatches. As a
-/// migration path, a legacy "vgod-params" text file (serialize.h) is
-/// accepted and returned as a bundle with an empty detector name and
-/// null config — the caller must know the architecture, exactly as with
-/// LoadParameterList.
+/// format versions, truncated payloads, and checksum mismatches.
 Result<ModelBundle> LoadBundle(const std::string& path);
+
+/// Copies a bundle's `values` into a rebuilt module's `params` in order
+/// (the detectors' RestoreFromBundle). Fails on count or shape mismatch,
+/// i.e. the bundle was written by a model with a different architecture.
+Status AssignParameters(const std::vector<Tensor>& values,
+                        std::vector<Variable>* params);
 
 }  // namespace vgod::detectors
 

@@ -169,11 +169,6 @@ Result<std::unique_ptr<OutlierDetector>> MakeDetector(
 
 Result<std::unique_ptr<OutlierDetector>> MakeDetectorFromBundle(
     const ModelBundle& bundle, const DetectorOptions& options) {
-  if (bundle.detector.empty()) {
-    return Status::InvalidArgument(
-        "bundle does not name a detector (legacy parameter file? use the "
-        "owning detector's Load instead)");
-  }
   Result<std::unique_ptr<OutlierDetector>> detector =
       MakeDetector(bundle.detector, options);
   if (!detector.ok()) return detector.status();

@@ -43,7 +43,7 @@ Result<ModelBundle> DegNorm::ExportBundle() const {
 }
 
 Status DegNorm::RestoreFromBundle(const ModelBundle& bundle) {
-  if (!bundle.detector.empty() && bundle.detector != name()) {
+  if (bundle.detector != name()) {
     return Status::InvalidArgument("bundle is for detector '" +
                                    bundle.detector + "', not " + name());
   }

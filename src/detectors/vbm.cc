@@ -6,7 +6,6 @@
 
 #include "core/faultinject.h"
 #include "detectors/divergence.h"
-#include "detectors/serialize.h"
 #include "gnn/graph_autograd.h"
 #include "graph/graph_ops.h"
 #include "graph/sampling.h"
@@ -235,19 +234,6 @@ DetectorOutput Vbm::Score(const AttributedGraph& graph) const {
   return out;
 }
 
-Status Vbm::Save(const std::string& path) const {
-  if (!transform_.has_value()) {
-    return Status::FailedPrecondition("Fit() before Save()");
-  }
-  return SaveParameterList(transform_->Parameters(), path);
-}
-
-Status Vbm::Load(const std::string& path) {
-  Result<std::vector<Tensor>> tensors = LoadParameterList(path);
-  if (!tensors.ok()) return tensors.status();
-  return RestoreParameters(tensors.value());
-}
-
 Status Vbm::RestoreParameters(const std::vector<Tensor>& tensors) {
   if (tensors.empty()) {
     return Status::InvalidArgument("VBM: empty parameter list");
@@ -284,7 +270,7 @@ Result<ModelBundle> Vbm::ExportBundle() const {
 }
 
 Status Vbm::RestoreFromBundle(const ModelBundle& bundle) {
-  if (!bundle.detector.empty() && bundle.detector != name()) {
+  if (bundle.detector != name()) {
     return Status::InvalidArgument("bundle is for detector '" +
                                    bundle.detector + "', not " + name());
   }

@@ -66,13 +66,6 @@ class Vbm : public OutlierDetector {
   /// (stream::OnlineScorer). Fails when unfitted or on a width mismatch.
   Result<Tensor> EmbedRows(const Tensor& attributes) const;
 
-  /// Persists the trained feature transform (requires a prior Fit).
-  Status Save(const std::string& path) const;
-
-  /// Restores a model saved by Save(). The stored hidden dimension must
-  /// match config().hidden_dim. After Load the model can Score directly.
-  Status Load(const std::string& path);
-
   /// Bundle persistence (bundle.h): the config JSON carries hidden_dim,
   /// self_loop, and row_normalize_attributes, so RestoreFromBundle
   /// reconstructs the exact scoring architecture without a prior Fit.

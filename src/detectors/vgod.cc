@@ -96,16 +96,6 @@ DetectorOutput Vgod::Score(const AttributedGraph& graph) const {
   return out;
 }
 
-Status Vgod::Save(const std::string& path) const {
-  VGOD_RETURN_IF_ERROR(vbm_.Save(path + ".vbm"));
-  return arm_.Save(path + ".arm");
-}
-
-Status Vgod::Load(const std::string& path) {
-  VGOD_RETURN_IF_ERROR(vbm_.Load(path + ".vbm"));
-  return arm_.Load(path + ".arm");
-}
-
 Result<ModelBundle> Vgod::ExportBundle() const {
   Result<ModelBundle> vbm_bundle = vbm_.ExportBundle();
   if (!vbm_bundle.ok()) return vbm_bundle.status();

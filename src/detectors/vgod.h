@@ -48,12 +48,6 @@ class Vgod : public OutlierDetector {
   const Arm& arm() const { return arm_; }
   const VgodConfig& config() const { return config_; }
 
-  /// Persists both trained component models as <path>.vbm and <path>.arm.
-  Status Save(const std::string& path) const;
-
-  /// Restores a framework saved by Save(); configs must match.
-  Status Load(const std::string& path);
-
   /// Bundle persistence (bundle.h): one bundle holds both component models
   /// (VBM parameters first, then ARM) plus the combination rule, so a
   /// single artifact restores the whole framework.

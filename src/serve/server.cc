@@ -251,6 +251,20 @@ std::vector<int64_t> CumulativeEventCounts() {
 Result<std::unique_ptr<ScoringEngine>> BuildEngine(
     const std::string& bundle_path, const std::string& graph_path,
     const EngineConfig& config) {
+  // The sizes come from command-line flags; refuse bad ones here instead
+  // of tripping the engine constructor's invariant CHECKs.
+  if (config.num_threads < 1) {
+    return Status::InvalidArgument("engine threads must be >= 1, got " +
+                                   std::to_string(config.num_threads));
+  }
+  if (config.intra_op_threads < 0) {
+    return Status::InvalidArgument("intra-op threads must be >= 0, got " +
+                                   std::to_string(config.intra_op_threads));
+  }
+  if (config.max_queue < 1) {
+    return Status::InvalidArgument("max queue must be >= 1, got " +
+                                   std::to_string(config.max_queue));
+  }
   Result<detectors::ModelBundle> bundle =
       detectors::LoadBundle(bundle_path);
   if (!bundle.ok()) return bundle.status();

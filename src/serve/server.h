@@ -34,11 +34,10 @@ struct MonitorOptions {
   double interval_seconds = 2.0;
 };
 
-/// Everything vgod_serve (and `vgod_cli serve`) needs to stand up a
-/// scoring server.
+/// Everything vgod_serve needs to stand up a scoring server.
 struct ServerOptions {
-  /// Model bundle to load (bundle.h). Legacy vgod-params files are
-  /// rejected here because they don't name their detector.
+  /// Model bundle to load (bundle.h), as written by `vgod_cli detect
+  /// --save-bundle`.
   std::string bundle_path;
   /// Resident graph to serve (datasets::io format).
   std::string graph_path;
@@ -64,7 +63,9 @@ struct ServerOptions {
 };
 
 /// Builds a ScoringEngine from a bundle + graph file (the batch side of
-/// ServerOptions, reusable without the HTTP front end).
+/// ServerOptions, reusable without the HTTP front end). Out-of-range
+/// engine sizes (threads < 1, intra-op threads < 0, max queue < 1) are an
+/// InvalidArgument, not a crash.
 Result<std::unique_ptr<ScoringEngine>> BuildEngine(
     const std::string& bundle_path, const std::string& graph_path,
     const EngineConfig& config);
@@ -146,10 +147,9 @@ class ScoringServer {
   bool monitor_stop_ = false;
 };
 
-/// CLI entry point shared by vgod_serve and `vgod_cli serve`: builds the
-/// engine, starts the server, prints the bound port, and blocks until
-/// `*stop` becomes true (typically flipped by a SIGINT/SIGTERM handler).
-/// Returns a process exit code.
+/// vgod_serve's entry point: builds the engine, starts the server, prints
+/// the bound port, and blocks until `*stop` becomes true (typically
+/// flipped by a SIGINT/SIGTERM handler). Returns a process exit code.
 int RunServer(const ServerOptions& options, const std::atomic<bool>* stop);
 
 }  // namespace vgod::serve

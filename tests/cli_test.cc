@@ -133,18 +133,6 @@ TEST(CliTest, UnknownOptionFails) {
   EXPECT_NE(out.find("unknown option"), std::string::npos) << out;
 }
 
-TEST(CliTest, ServeRejectsRetiredBatchingFlags) {
-  // The batching knobs were removed; a deployment still passing them must
-  // fail loudly instead of silently running with a changed config.
-  for (const char* flag : {"--max-batch=8", "--max-delay-us=1000"}) {
-    std::string out;
-    EXPECT_NE(RunCommand(CliPath() + " serve --bundle=x --graph=y " + flag,
-                         &out),
-              0);
-    EXPECT_NE(out.find("unknown option"), std::string::npos) << out;
-  }
-}
-
 TEST(CliTest, UnknownDatasetFails) {
   std::string out;
   EXPECT_NE(RunCommand(CliPath() + " generate --dataset=mnist --output=/tmp/x",

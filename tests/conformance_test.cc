@@ -142,10 +142,10 @@ TEST_P(DetectorConformanceTest, HostileBundlesReturnStatusNotDeath) {
   wrong_name.detector = "NoSuchDetector";
   EXPECT_FALSE(MakeDetectorFromBundle(wrong_name, SmallOptions()).ok());
 
-  // Legacy/anonymous bundle (empty name) cannot be routed either.
-  ModelBundle anonymous = exported.value();
-  anonymous.detector.clear();
-  EXPECT_FALSE(MakeDetectorFromBundle(anonymous, SmallOptions()).ok());
+  // A bundle with an empty name cannot be routed either.
+  ModelBundle unnamed = exported.value();
+  unnamed.detector.clear();
+  EXPECT_FALSE(MakeDetectorFromBundle(unnamed, SmallOptions()).ok());
 
   // Truncated parameter list: restore must fail on the count mismatch.
   if (!exported.value().params.empty()) {

@@ -401,78 +401,6 @@ TEST(VbmMiniBatchTest, BatchSizeLargerThanGraph) {
             0.8);
 }
 
-// --- serialization ---
-
-TEST(SerializationTest, VbmRoundTripScoresIdentical) {
-  injection::InjectionResult injected = StandardInjected(33);
-  VbmConfig config = SmallVbm(true);
-  Vbm original(config);
-  ASSERT_TRUE(original.Fit(injected.graph).ok());
-  const std::string path = ::testing::TempDir() + "/vbm.params";
-  ASSERT_TRUE(original.Save(path).ok());
-
-  Vbm restored(config);  // Never fitted.
-  ASSERT_TRUE(restored.Load(path).ok());
-  std::vector<double> a = original.Score(injected.graph).score;
-  std::vector<double> b = restored.Score(injected.graph).score;
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, VgodRoundTripScoresIdentical) {
-  injection::InjectionResult injected = StandardInjected(34);
-  VgodConfig config;
-  config.vbm = SmallVbm(true);
-  config.vbm.epochs = 3;
-  config.arm = SmallArm();
-  config.arm.epochs = 8;
-  Vgod original(config);
-  ASSERT_TRUE(original.Fit(injected.graph).ok());
-  const std::string prefix = ::testing::TempDir() + "/vgod_model";
-  ASSERT_TRUE(original.Save(prefix).ok());
-
-  Vgod restored(config);
-  ASSERT_TRUE(restored.Load(prefix).ok());
-  std::vector<double> a = original.Score(injected.graph).score;
-  std::vector<double> b = restored.Score(injected.graph).score;
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
-  std::remove((prefix + ".vbm").c_str());
-  std::remove((prefix + ".arm").c_str());
-}
-
-TEST(SerializationTest, SaveBeforeFitFails) {
-  Vbm vbm(SmallVbm());
-  EXPECT_EQ(vbm.Save("/tmp/never.params").code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(SerializationTest, LoadRejectsMismatchedHiddenDim) {
-  injection::InjectionResult injected = StandardInjected(35);
-  VbmConfig config = SmallVbm();
-  Vbm original(config);
-  ASSERT_TRUE(original.Fit(injected.graph).ok());
-  const std::string path = ::testing::TempDir() + "/vbm_mismatch.params";
-  ASSERT_TRUE(original.Save(path).ok());
-
-  VbmConfig other = SmallVbm();
-  other.hidden_dim = config.hidden_dim * 2;
-  Vbm restored(other);
-  EXPECT_EQ(restored.Load(path).code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, LoadRejectsGarbageFile) {
-  const std::string path = ::testing::TempDir() + "/garbage.params";
-  FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("not parameters\n", f);
-  std::fclose(f);
-  Vbm vbm(SmallVbm());
-  EXPECT_FALSE(vbm.Load(path).ok());
-  std::remove(path.c_str());
-}
-
 // --- non-deep baselines (Radar / ANOMALOUS) ---
 
 TEST(NonDeepTest, RadarDetectsContextualOutliers) {

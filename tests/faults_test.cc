@@ -1,9 +1,10 @@
 // Tests for the crash-proofing layer (docs/ROBUSTNESS.md): the VGOD_FAULTS
 // injection harness itself, bundle restore under systematic corruption
 // (bit-flip, truncation, and injected short-read sweeps), the training
-// divergence guard, the serving engine's non-finite score guard, and
-// dataset IO under hostile headers. The invariant throughout: untrusted or
-// injected failures produce a vgod::Status, never process death.
+// divergence guard, the serving engine's non-finite score guard and
+// engine-size validation, and dataset IO under hostile headers. The
+// invariant throughout: untrusted or injected failures produce a
+// vgod::Status, never process death.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,6 +28,7 @@
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "serve/engine.h"
+#include "serve/server.h"
 #include "tensor/autograd.h"
 
 namespace vgod {
@@ -361,6 +363,31 @@ TEST_F(FaultsTest, EngineDoesNotCacheNonFiniteScores) {
   ASSERT_TRUE(engine.ScoreNodes({4}).ok());
   EXPECT_EQ(engine.score_calls(), 2);
   engine.Shutdown();
+}
+
+// Engine sizes come from command-line flags (vgod_serve --threads=0, or
+// --threads=two, which parses to 0): BuildEngine must refuse them with a
+// Status instead of aborting in the engine's invariant CHECKs.
+TEST(EngineConfigTest, BuildEngineRejectsBadSizes) {
+  const std::string bundle = SaveTinyVbmBundle("engine_sizes.vgodb");
+  const std::string graph = TempPath("engine_sizes.graph");
+  ASSERT_TRUE(datasets::SaveGraph(TestGraph(), graph).ok());
+  ASSERT_TRUE(serve::BuildEngine(bundle, graph, {}).ok());
+
+  serve::EngineConfig no_threads;
+  no_threads.num_threads = 0;
+  serve::EngineConfig negative_intra_op;
+  negative_intra_op.intra_op_threads = -1;
+  serve::EngineConfig no_queue;
+  no_queue.max_queue = 0;
+  for (const serve::EngineConfig& config :
+       {no_threads, negative_intra_op, no_queue}) {
+    Result<std::unique_ptr<serve::ScoringEngine>> engine =
+        serve::BuildEngine(bundle, graph, config);
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument)
+        << engine.status().ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

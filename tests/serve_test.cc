@@ -28,7 +28,6 @@
 #include "datasets/synthetic.h"
 #include "detectors/bundle.h"
 #include "detectors/registry.h"
-#include "detectors/serialize.h"
 #include "detectors/simple.h"
 #include "detectors/vbm.h"
 #include "detectors/vgod.h"
@@ -123,9 +122,29 @@ TEST(BundleTest, VgodRoundTripPreservesComponents) {
 
 TEST(BundleTest, LoadRejectsBadMagic) {
   const std::string path = TempPath("bad_magic.vgodb");
-  std::ofstream(path) << "definitely not a bundle";
-  Result<ModelBundle> loaded = LoadBundle(path);
-  EXPECT_FALSE(loaded.ok());
+  // The second input is the header of the retired plain-text parameter
+  // dump: bundles are the only model format, so it fails like any other.
+  for (const char* contents :
+       {"definitely not a bundle", "vgod-params 1\n2 2 0 0 0 0\n"}) {
+    std::ofstream(path) << contents;
+    Result<ModelBundle> loaded = LoadBundle(path);
+    ASSERT_FALSE(loaded.ok()) << contents;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("bad magic"), std::string::npos)
+        << loaded.status().message();
+  }
+}
+
+TEST(BundleTest, ExportBeforeFitFails) {
+  Vbm vbm(TinyVbm());
+  EXPECT_EQ(vbm.ExportBundle().status().code(),
+            StatusCode::kFailedPrecondition);
+  Arm arm;
+  EXPECT_EQ(arm.ExportBundle().status().code(),
+            StatusCode::kFailedPrecondition);
+  Vgod vgod;
+  EXPECT_EQ(vgod.ExportBundle().status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(BundleTest, LoadRejectsCorruptPayload) {
@@ -196,32 +215,29 @@ TEST(BundleTest, RestoreRejectsWrongDetectorName) {
 
   Vgod other;
   EXPECT_FALSE(other.RestoreFromBundle(bundle.value()).ok());
-}
 
-TEST(BundleTest, LoadFallsBackToLegacyParameterList) {
-  AttributedGraph graph = TestGraph();
-  Vbm trained(TinyVbm());
-  ASSERT_TRUE(trained.Fit(graph).ok());
-  const std::string path = TempPath("legacy.params");
-  ASSERT_TRUE(trained.Save(path).ok());
-
-  // The legacy text format loads as an anonymous bundle: parameters only.
-  Result<ModelBundle> loaded = LoadBundle(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().detector.empty());
-  EXPECT_FALSE(loaded.value().params.empty());
-
-  // Anonymous bundles cannot name their detector, so the registry path
-  // must refuse them rather than guess.
-  EXPECT_FALSE(MakeDetectorFromBundle(loaded.value()).ok());
-
-  // The caller that does know the architecture can still restore.
-  Vbm manual(TinyVbm());
-  ASSERT_TRUE(manual.Load(path).ok());
-  const DetectorOutput expected = trained.Score(graph);
-  const DetectorOutput got = manual.Score(graph);
-  for (size_t i = 0; i < expected.score.size(); ++i) {
-    EXPECT_EQ(got.score[i], expected.score[i]);
+  // A detector's own bundle with its name cleared is refused too: every
+  // bundle must name the detector it restores.
+  ArmConfig arm_config;
+  arm_config.hidden_dim = 8;
+  arm_config.epochs = 3;
+  Arm arm_trained(arm_config);
+  ASSERT_TRUE(arm_trained.Fit(graph).ok());
+  DegNorm degnorm_trained;
+  ASSERT_TRUE(degnorm_trained.Fit(graph).ok());
+  Vbm vbm(TinyVbm());
+  Arm arm(arm_config);
+  DegNorm degnorm;
+  const std::pair<const OutlierDetector*, OutlierDetector*> pairs[] = {
+      {&trained, &vbm}, {&arm_trained, &arm}, {&degnorm_trained, &degnorm}};
+  for (const auto& [source, target] : pairs) {
+    Result<ModelBundle> own = source->ExportBundle();
+    ASSERT_TRUE(own.ok()) << own.status().ToString();
+    ModelBundle unnamed = own.value();
+    unnamed.detector.clear();
+    EXPECT_EQ(target->RestoreFromBundle(unnamed).code(),
+              StatusCode::kInvalidArgument)
+        << target->name();
   }
 }
 

@@ -22,9 +22,11 @@ Drives a live `vgod_serve --streaming` with tight drift/monitor knobs:
   5. Quiet phase: with scoring stopped the window drains below
      min-count, PSI reports 0, and the rule resolves — transition again
      observed on webhook and SSE.
-  6. A bundle exported WITHOUT a fingerprint (legacy
-     `vgod_cli export-bundle` path) must serve with /debug/drift status
-     "baseline_missing", drift.baseline.present 0, and working /score.
+  6. A bundle WITHOUT a fingerprint (as written before bundles carried
+     one: a `--save-bundle` output with the config's "fingerprint" key
+     dropped and the checksum re-sealed) must serve with /debug/drift
+     status "baseline_missing", drift.baseline.present 0, and working
+     /score.
   7. Hostile --alert-rules files (bad JSON, unknown comparator, negative
      duration, duplicate names, missing file) must exit nonzero with a
      diagnostic, never a crash loop or a listening server.
@@ -41,6 +43,7 @@ import random
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -576,20 +579,45 @@ def check_monitored_server(cli, serve_bin, workdir):
         webhook.stop()
 
 
+def strip_fingerprint(src, dst):
+    """Writes bundle `src` to `dst` without the config's "fingerprint" key,
+    re-sealing the checksum (layout in docs/SERVING.md section 1: magic,
+    u32 version, u32-length-prefixed name and config JSON, the tensors,
+    then a u64 FNV-1a over every byte after the version field). Returns
+    False when `src` carried no fingerprint to drop."""
+    data = src.read_bytes()
+    header, body = data[:12], data[12:-8]
+    (name_len,) = struct.unpack_from("<I", body, 0)
+    at = 4 + name_len
+    (config_len,) = struct.unpack_from("<I", body, at)
+    config = json.loads(body[at + 4:at + 4 + config_len])
+    if config.pop("fingerprint", None) is None:
+        return False
+    stripped = json.dumps(config, separators=(",", ":")).encode()
+    body = (body[:at] + struct.pack("<I", len(stripped)) + stripped +
+            body[at + 4 + config_len:])
+    digest = 0xcbf29ce484222325
+    for byte in body:
+        digest = ((digest ^ byte) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    dst.write_bytes(header + body + struct.pack("<Q", digest))
+    return True
+
+
 def check_unfingerprinted_bundle(cli, serve_bin, workdir):
-    """The legacy export path produces bundles without fingerprints; they
-    must serve with drift reporting baseline_missing, never crash."""
+    """Bundles written before fingerprints existed carry none; they must
+    serve with drift reporting baseline_missing, never crash."""
     graph = workdir / "old.graph"
-    prefix = workdir / "old_model"
+    fingerprinted = workdir / "new_model.vgodb"
     bundle = workdir / "old_model.vgodb"
     run([cli, "generate", "--dataset=cora", "--scale=0.15", "--seed=11",
          "--inject=standard", f"--output={graph}"])
     run([cli, "detect", f"--graph={graph}", "--detector=VGOD",
-         "--epoch-scale=0.05", "--seed=11", f"--save-model={prefix}",
+         "--epoch-scale=0.05", "--seed=11", f"--save-bundle={fingerprinted}",
          "--output=" + str(workdir / "old_scores.tsv")])
-    run([cli, "export-bundle", f"--model={prefix}", "--detector=VGOD",
-         f"--output={bundle}"])
-    if not check(bundle.exists(), "export-bundle wrote no bundle"):
+    if not check(fingerprinted.exists(), "detect --save-bundle wrote no bundle"):
+        return
+    if not check(strip_fingerprint(fingerprinted, bundle),
+                 "--save-bundle output carries no fingerprint to drop"):
         return
 
     rules = write_rules(workdir)

@@ -14,9 +14,10 @@ degrades instead of dying:
      /score must answer 500 (serve.errors.nonfinite_scores moves), the
      server must stay alive, and SIGTERM must still drain cleanly.
   3. Startup against a truncated bundle, an injected bundle short-read
-     (VGOD_FAULTS=bundle.read=fail@2), and an injected dataset read
-     failure (VGOD_FAULTS=dataset.read=fail) must exit 1 with an error
-     message -- not die on a signal.
+     (VGOD_FAULTS=bundle.read=fail@2), an injected dataset read failure
+     (VGOD_FAULTS=dataset.read=fail), and bad engine sizes (--threads=0,
+     --threads=two, --max-queue=0) must exit 1 with an error message --
+     not die on a signal.
   4. vgod_cli eval against garbage and NaN score files must exit 1 with a
      clean error.
 
@@ -267,13 +268,14 @@ def check_injected_nan_scores(serve_bin, bundle, graph):
         stop_server(proc)
 
 
-def serve_must_exit_1(serve_bin, bundle, graph, env_extra, context):
+def serve_must_exit_1(serve_bin, bundle, graph, env_extra, context,
+                      extra_args=()):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
         [str(serve_bin), f"--bundle={bundle}", f"--graph={graph}",
-         "--port=0"],
+         "--port=0", *extra_args],
         capture_output=True, text=True, env=env, timeout=120)
     check(proc.returncode == 1,
           f"{context}: vgod_serve exited {proc.returncode}, expected a "
@@ -293,6 +295,9 @@ def check_startup_failures(serve_bin, bundle, graph, workdir):
     serve_must_exit_1(serve_bin, bundle, graph,
                       {"VGOD_FAULTS": "dataset.read=fail"},
                       "injected dataset read failure")
+    # "two" parses as 0; each must be refused, not a CHECK abort (exit 134).
+    for flag in ("--threads=0", "--threads=two", "--max-queue=0"):
+        serve_must_exit_1(serve_bin, bundle, graph, None, flag, [flag])
 
 
 def check_cli_eval_hardening(cli, graph, workdir):

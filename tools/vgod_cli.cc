@@ -5,20 +5,16 @@
 //   vgod_cli detect --graph=g.graph --detector=VGOD [--self-loop]
 //            [--row-normalize] [--seed=7] [--epoch-scale=1]
 //            [--num_threads=N] [--output=scores.tsv] [--top=10]
-//            [--save-model=prefix] [--telemetry_out=train.jsonl]
+//            [--save-bundle=m.vgodb] [--telemetry_out=train.jsonl]
 //            [--metrics_out=metrics.json] [--trace] [--trace_out=trace.json]
 //            [--profile_out=profile.json|profile.folded]
 //   vgod_cli eval --graph=g.graph --scores=scores.tsv
-//   vgod_cli export-bundle --model=prefix --detector=VGOD --output=m.vgodb
-//   vgod_cli serve --bundle=m.vgodb --graph=g.graph [--port=8080]
-//            [--threads=2] [--num_threads=N] [--max-queue=1024]
 //
 // `generate` writes a simulated benchmark dataset (optionally with
 // injected outliers); `detect` trains a detector and prints/stores scores
-// (--save-bundle exports the deployable model bundle of docs/SERVING.md);
-// `eval` computes AUC of a score file against the graph's stored labels;
-// `export-bundle` converts a legacy text model (--save-model) into a
-// bundle; `serve` runs the scoring server in-process (same as vgod_serve).
+// (--save-bundle exports the deployable model bundle that vgod_serve
+// loads, docs/SERVING.md); `eval` computes AUC of a score file against the
+// graph's stored labels.
 // Observability (see docs/OBSERVABILITY.md): --telemetry_out streams one
 // JSONL record per training epoch, --metrics_out dumps the process metric
 // registry, --trace/--trace_out (or the VGOD_TRACE env var) capture Chrome
@@ -26,8 +22,6 @@
 // VGOD_PROFILE=path) writes the hierarchical compute profile — JSON call
 // tree for *.json paths, collapsed flamegraph stacks otherwise.
 #include <algorithm>
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -36,11 +30,8 @@
 #include "core/parallel.h"
 #include "datasets/io.h"
 #include "datasets/registry.h"
-#include "detectors/arm.h"
 #include "detectors/bundle.h"
 #include "detectors/registry.h"
-#include "detectors/vbm.h"
-#include "detectors/vgod.h"
 #include "eval/metrics.h"
 #include "injection/injection.h"
 #include "obs/fingerprint.h"
@@ -48,7 +39,6 @@
 #include "obs/monitor.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "serve/server.h"
 
 namespace vgod {
 namespace {
@@ -61,31 +51,19 @@ int Fail(const Status& status) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: vgod_cli <generate|detect|eval|export-bundle|serve> "
-      "[--options]\n"
-      "  generate      --dataset=NAME --output=PATH [--scale=F] "
-      "[--seed=N] [--inject=MODE]\n"
-      "  detect        --graph=PATH [--detector=VGOD] [--self-loop] "
+      "usage: vgod_cli <generate|detect|eval> [--options]\n"
+      "  generate --dataset=NAME --output=PATH [--scale=F] [--seed=N] "
+      "[--inject=MODE]\n"
+      "  detect   --graph=PATH [--detector=VGOD] [--self-loop] "
       "[--row-normalize]\n"
-      "                [--seed=N] [--epoch-scale=F] [--num_threads=N] "
+      "           [--seed=N] [--epoch-scale=F] [--num_threads=N] "
       "[--output=PATH]\n"
-      "                [--top=K] [--save-model=PREFIX] "
-      "[--save-bundle=PATH]\n"
-      "                [--telemetry_out=PATH] [--metrics_out=PATH] "
+      "           [--top=K] [--save-bundle=PATH]\n"
+      "           [--telemetry_out=PATH] [--metrics_out=PATH] "
       "[--trace] [--trace_out=PATH]\n"
-      "                [--profile_out=PATH]\n"
-      "  eval          --graph=PATH --scores=PATH\n"
-      "  export-bundle --model=PREFIX --detector=NAME --output=PATH "
-      "[--self-loop] [--row-normalize]\n"
-      "  serve         --bundle=PATH --graph=PATH [--port=N] "
-      "[--threads=N] [--num_threads=N]\n"
-      "                [--max-queue=N] [--streaming]\n"
-      "                [--compact-every=N] [--watchlist-k=N] "
-      "[--max-events=N]\n"
-      "                [--alert-rules=PATH] [--webhook-url=URL] "
-      "[--monitor-interval=S]\n"
-      "                [--drift-rotate-seconds=S] "
-      "[--drift-window-buckets=N] [--drift-min-count=N]\n");
+      "           [--profile_out=PATH]\n"
+      "  eval     --graph=PATH --scores=PATH\n"
+      "Serve a saved bundle with vgod_serve.\n");
   return 2;
 }
 
@@ -150,7 +128,7 @@ int RunDetect(const ArgParser& args) {
   Status valid = args.Validate({"graph", "detector", "self-loop",
                                 "row-normalize", "seed", "epoch-scale",
                                 "num_threads", "output", "top",
-                                "save-model", "save-bundle",
+                                "save-bundle",
                                 "telemetry_out", "metrics_out", "trace",
                                 "trace_out", "profile_out"});
   if (!valid.ok()) return Fail(valid);
@@ -260,18 +238,6 @@ int RunDetect(const ArgParser& args) {
                 score_path.c_str());
   }
 
-  const std::string model_prefix = args.GetString("save-model", "");
-  if (!model_prefix.empty()) {
-    auto* vgod = dynamic_cast<detectors::Vgod*>(detector.value().get());
-    if (vgod == nullptr) {
-      return Fail(Status::InvalidArgument(
-          "--save-model currently supports detector=VGOD"));
-    }
-    Status saved = vgod->Save(model_prefix);
-    if (!saved.ok()) return Fail(saved);
-    std::printf("saved model to %s.{vbm,arm}\n", model_prefix.c_str());
-  }
-
   const std::string bundle_path = args.GetString("save-bundle", "");
   if (!bundle_path.empty()) {
     Result<detectors::ModelBundle> bundle =
@@ -355,104 +321,6 @@ int RunEval(const ArgParser& args) {
   return 0;
 }
 
-int RunExportBundle(const ArgParser& args) {
-  Status valid = args.Validate(
-      {"model", "detector", "output", "self-loop", "row-normalize"});
-  if (!valid.ok()) return Fail(valid);
-  const std::string model = args.GetString("model", "");
-  const std::string output = args.GetString("output", "");
-  const std::string name = args.GetString("detector", "VGOD");
-  if (model.empty() || output.empty()) return Usage();
-
-  detectors::DetectorOptions options;
-  options.self_loop = args.GetBool("self-loop");
-  options.row_normalize_attributes = args.GetBool("row-normalize");
-  Result<std::unique_ptr<detectors::OutlierDetector>> detector =
-      detectors::MakeDetector(name, options);
-  if (!detector.ok()) return Fail(detector.status());
-
-  // Read the legacy text checkpoint through the detector's own Load so the
-  // module stack is rebuilt from the stored shapes.
-  Status loaded = Status::Ok();
-  if (auto* vgod = dynamic_cast<detectors::Vgod*>(detector.value().get())) {
-    loaded = vgod->Load(model);
-  } else if (auto* vbm =
-                 dynamic_cast<detectors::Vbm*>(detector.value().get())) {
-    loaded = vbm->Load(model);
-  } else if (auto* arm =
-                 dynamic_cast<detectors::Arm*>(detector.value().get())) {
-    loaded = arm->Load(model);
-  } else {
-    return Fail(Status::InvalidArgument(
-        "export-bundle supports detector=VGOD|VBM|ARM, got " + name));
-  }
-  if (!loaded.ok()) return Fail(loaded);
-
-  Result<detectors::ModelBundle> bundle =
-      detector.value()->ExportBundle();
-  if (!bundle.ok()) return Fail(bundle.status());
-  Status saved = detectors::SaveBundle(bundle.value(), output);
-  if (!saved.ok()) return Fail(saved);
-  std::printf("exported %s model %s to bundle %s (%zu parameter tensors)\n",
-              name.c_str(), model.c_str(), output.c_str(),
-              bundle.value().params.size());
-  return 0;
-}
-
-std::atomic<bool> g_serve_stop{false};
-
-void HandleServeSignal(int) {
-  g_serve_stop.store(true, std::memory_order_relaxed);
-}
-
-int RunServe(const ArgParser& args) {
-  Status valid = args.Validate({"bundle", "graph", "port", "threads",
-                                "num_threads", "max-queue", "streaming",
-                                "compact-every", "watchlist-k", "max-events",
-                                "max-connections", "idle-timeout-ms",
-                                "dispatch-threads", "alert-rules",
-                                "webhook-url", "monitor-interval",
-                                "drift-rotate-seconds",
-                                "drift-window-buckets", "drift-min-count"});
-  if (!valid.ok()) return Fail(valid);
-  serve::ServerOptions options;
-  options.bundle_path = args.GetString("bundle", "");
-  options.graph_path = args.GetString("graph", "");
-  if (options.bundle_path.empty() || options.graph_path.empty()) {
-    return Usage();
-  }
-  options.port = static_cast<int>(args.GetInt("port", 8080));
-  options.engine.num_threads = static_cast<int>(args.GetInt("threads", 2));
-  options.engine.intra_op_threads =
-      static_cast<int>(args.GetInt("num_threads", 0));
-  options.engine.max_queue =
-      static_cast<int>(args.GetInt("max-queue", 1024));
-  options.streaming = args.GetBool("streaming");
-  options.stream.compact_every =
-      static_cast<int>(args.GetInt("compact-every", 4096));
-  options.stream.watchlist_k =
-      static_cast<int>(args.GetInt("watchlist-k", 10));
-  options.stream.max_events_per_batch =
-      static_cast<int>(args.GetInt("max-events", 4096));
-  options.transport.max_connections =
-      static_cast<int>(args.GetInt("max-connections", 1024));
-  options.transport.idle_timeout_ms =
-      static_cast<int>(args.GetInt("idle-timeout-ms", 30000));
-  options.transport.dispatch_threads =
-      static_cast<int>(args.GetInt("dispatch-threads", 4));
-  options.alert_rules_path = args.GetString("alert-rules", "");
-  options.monitor.webhook_url = args.GetString("webhook-url", "");
-  options.monitor.interval_seconds = args.GetDouble("monitor-interval", 2.0);
-  options.monitor.drift.rotate_seconds =
-      args.GetDouble("drift-rotate-seconds", 10.0);
-  options.monitor.drift.window_buckets =
-      static_cast<int>(args.GetInt("drift-window-buckets", 6));
-  options.monitor.drift.min_window_count = args.GetInt("drift-min-count", 32);
-  std::signal(SIGINT, HandleServeSignal);
-  std::signal(SIGTERM, HandleServeSignal);
-  return serve::RunServer(options, &g_serve_stop);
-}
-
 int Main(int argc, const char* const* argv) {
   Result<ArgParser> args = ArgParser::Parse(argc, argv);
   if (!args.ok()) return Fail(args.status());
@@ -461,8 +329,6 @@ int Main(int argc, const char* const* argv) {
   if (command == "generate") return RunGenerate(args.value());
   if (command == "detect") return RunDetect(args.value());
   if (command == "eval") return RunEval(args.value());
-  if (command == "export-bundle") return RunExportBundle(args.value());
-  if (command == "serve") return RunServe(args.value());
   return Usage();
 }
 

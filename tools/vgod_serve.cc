@@ -4,8 +4,8 @@
 //              [--threads=2] [--num_threads=N] [--max-queue=1024]
 //              [--slow-ring=16]
 //
-// Loads a model bundle (exported by `vgod_cli detect --save-bundle` or
-// `vgod_cli export-bundle`) and the resident graph, then serves
+// Loads a model bundle (exported by `vgod_cli detect --save-bundle`) and
+// the resident graph, then serves
 // POST /score, GET /healthz, GET /metrics (?format=prometheus for text
 // exposition), GET /debug/slow, GET /debug/drift, GET /debug/alerts, and
 // the GET /events SSE stream over HTTP/1.1 on loopback until
