@@ -61,6 +61,7 @@ int Run(int argc, char** argv) {
   if (!spec.ok()) return Fail(spec.status());
 
   const int64_t threads = args.value().GetInt("threads", 0);
+  if (!args.value().status().ok()) return Fail(args.value().status());
   if (threads > 0) par::SetNumThreads(static_cast<int>(threads));
 
   bench::PrintBanner("Benchmark matrix",

@@ -501,6 +501,11 @@ int Main(int argc, char** argv) {
   const std::string json_path = args.value().GetString("json", "");
   const bool http_phase =
       args.value().GetBool("http") || args.value().GetBool("keep-alive");
+  if (!args.value().status().ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 args.value().status().ToString().c_str());
+    return 1;
+  }
 
   PrintBanner("serve_loadgen",
               "serving-path load benchmark: p50/p99 latency + throughput "

@@ -508,6 +508,11 @@ int Main(int argc, char** argv) {
   const int drift_batches = std::max<int>(
       1, static_cast<int>(args.value().GetInt("drift-batches", 8)));
   const std::string json_path = args.value().GetString("json", "");
+  if (!args.value().status().ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 args.value().status().ToString().c_str());
+    return 1;
+  }
 
   PrintBanner("stream_loadgen",
               "streaming subsystem load benchmark: ingest throughput under "

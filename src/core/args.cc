@@ -1,6 +1,8 @@
 #include "core/args.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace vgod {
@@ -34,13 +36,37 @@ std::string ArgParser::GetString(const std::string& key,
 double ArgParser::GetDouble(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end() || it->second.empty()) return fallback;
-  return std::atof(it->second.c_str());
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    return Invalid(key, fallback);
+  }
+  return value;
 }
 
 int64_t ArgParser::GetInt(const std::string& key, int64_t fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    return Invalid(key, fallback);
+  }
+  return value;
+}
+
+template <typename T>
+T ArgParser::Invalid(const std::string& key, T fallback) const {
+  if (status_.ok()) {
+    status_ = Status::InvalidArgument("invalid value for --" + key + ": " +
+                                      options_.at(key));
+  }
+  return fallback;
 }
 
 bool ArgParser::GetBool(const std::string& key) const {

@@ -27,10 +27,17 @@ class ArgParser {
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
 
-  /// Numeric options; malformed numbers fall back (tools validate ranges
-  /// themselves where it matters).
+  /// Numeric options, `fallback` when absent. A given value must be a
+  /// whole number (GetInt) or a finite number (GetDouble) with nothing
+  /// after it. A malformed one ("--port=eighty", "--top=10x") also yields
+  /// `fallback` and records "invalid value for --key: value" in status(),
+  /// which a tool checks once it has read its options. Range checks stay
+  /// with the tools.
   double GetDouble(const std::string& key, double fallback) const;
   int64_t GetInt(const std::string& key, int64_t fallback) const;
+
+  /// Ok, or the first malformed numeric option read so far.
+  const Status& status() const { return status_; }
 
   /// True if "--key" or "--key=true" was passed.
   bool GetBool(const std::string& key) const;
@@ -41,6 +48,12 @@ class ArgParser {
  private:
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;  // flag -> "" for bare flags.
+  /// Records the malformed value of `key` (first one wins); returns
+  /// `fallback`.
+  template <typename T>
+  T Invalid(const std::string& key, T fallback) const;
+
+  mutable Status status_;
 };
 
 }  // namespace vgod

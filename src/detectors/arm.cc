@@ -1,10 +1,14 @@
 #include "detectors/arm.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/faultinject.h"
 #include "detectors/divergence.h"
 #include "graph/graph_ops.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "tensor/optimizer.h"
 
 namespace vgod::detectors {
@@ -16,6 +20,17 @@ Tensor PrepareAttributes(const AttributedGraph& graph, bool row_normalize) {
              ? graph_ops::RowNormalizeAttributes(graph.attributes())
              : graph.attributes();
 }
+
+/// Rows per block of an incremental refresh's retransform (Eq. 16).
+constexpr size_t kRetransformBlock = 64;
+
+/// ARM's retained activations with a GAT backbone: each layer's node
+/// projections s, p, q (the inputs of Eq. 3 that clean rows still read)
+/// and the Eq. 17 errors.
+struct ArmState final : ScoreState {
+  std::vector<Tensor> s, p, q;  // One per GNN layer.
+  std::vector<double> score;
+};
 
 }  // namespace
 
@@ -105,22 +120,111 @@ Status Arm::Fit(const AttributedGraph& graph) {
 }
 
 DetectorOutput Arm::Score(const AttributedGraph& graph) const {
+  return ScoreIncremental(graph, nullptr, {}).output;
+}
+
+ScoreUpdate Arm::ScoreIncremental(const AttributedGraph& graph,
+                                  const ScoreState* base,
+                                  const ChangedRows& changed) const {
   VGOD_PROFILE_SCOPE("detector/arm_score");
-  NoGradGuard no_grad;
-  const Tensor attributes =
-      PrepareAttributes(graph, config_.row_normalize_attributes);
-  auto message_graph =
-      std::make_shared<const AttributedGraph>(graph.WithSelfLoops());
-  Variable reconstructed = Reconstruct(message_graph, attributes);
-  Variable errors = ag::RowSquaredDistance(reconstructed,
-                                           Variable::Constant(attributes));
-  DetectorOutput out;
-  out.score.resize(graph.num_nodes());
-  for (int i = 0; i < graph.num_nodes(); ++i) {
-    out.score[i] = errors.value().At(i, 0);
+  VGOD_CHECK(in_transform_.has_value()) << "Fit() before Score()";
+  const int n = graph.num_nodes();
+  ScoreUpdate update;
+  if (config_.gnn != gnn::GnnKind::kGat) {
+    // GCN's degree-normalized weights (and GIN/SAGE, not yet covered)
+    // would widen the dirty set: these backbones always score in full.
+    NoGradGuard no_grad;
+    const Tensor attributes =
+        PrepareAttributes(graph, config_.row_normalize_attributes);
+    auto message_graph =
+        std::make_shared<const AttributedGraph>(graph.WithSelfLoops());
+    const Tensor errors = kernels::RowSquaredDistance(
+        Reconstruct(message_graph, attributes).value(), attributes);
+    update.output.score.assign(errors.data(), errors.data() + n);
+    update.output.contextual_score = update.output.score;
+    update.dirty_rows = n;
+    return update;
   }
-  out.contextual_score = out.score;
-  return out;
+
+  // Eq. 14 and each layer's projections are row-local; layer l aggregates
+  // over the self-looped neighborhood. So the rows whose input to layer l
+  // changed are D_0 = A and D_l = S + D_(l-1) + N(D_(l-1)), and Eq. 16-17
+  // recompute the rows of D_L.
+  const int num_layers = static_cast<int>(layers_.size());
+  const auto* prior = dynamic_cast<const ArmState*>(base);
+  std::vector<std::vector<int>> dirty;
+  if (prior != nullptr && static_cast<int>(prior->score.size()) == n) {
+    dirty.push_back(changed.attributes);
+    for (int l = 0; l < num_layers; ++l) {
+      dirty.push_back(UnionRows(changed.adjacency,
+                                graph_ops::WithNeighbors(graph, dirty[l])));
+    }
+    update.incremental = static_cast<double>(dirty.back().size()) <=
+                         kMaxIncrementalDirtyFraction * n;
+  }
+  const bool full = !update.incremental;
+  const bool row_normalize = config_.row_normalize_attributes;
+  auto state = std::make_shared<ArmState>();
+  const Tensor x =
+      full ? PrepareAttributes(graph, row_normalize)
+           : PreparedAttributeRows(graph, dirty[0], row_normalize);
+  Tensor z = kernels::RowL2Normalize(in_transform_->Apply(x));
+  for (int l = 0; l < num_layers; ++l) {
+    const auto* gat = dynamic_cast<const gnn::GatConv*>(layers_[l].get());
+    VGOD_CHECK(gat != nullptr);
+    gnn::GatConv::Projection proj = gat->Project(z);
+    if (!full) {
+      // Patch a private copy: the base state may be serving other rescores.
+      gnn::GatConv::Projection patched{prior->s[l].Clone(),
+                                       prior->p[l].Clone(),
+                                       prior->q[l].Clone()};
+      kernels::ScatterRows(proj.s, dirty[l], &patched.s);
+      kernels::ScatterRows(proj.p, dirty[l], &patched.p);
+      kernels::ScatterRows(proj.q, dirty[l], &patched.q);
+      proj = std::move(patched);
+    }
+    const Tensor aggregated =
+        full ? graph_ops::GatAggregate(graph, /*self_loop=*/true, proj.s,
+                                       proj.p, proj.q, gat->negative_slope())
+             : graph_ops::GatAggregateRows(graph, /*self_loop=*/true, proj.s,
+                                           proj.p, proj.q,
+                                           gat->negative_slope(),
+                                           dirty[l + 1]);
+    z = kernels::Relu(aggregated);
+    state->s.push_back(proj.s);
+    state->p.push_back(proj.p);
+    state->q.push_back(proj.q);
+  }
+  if (full) {
+    const Tensor errors =
+        kernels::RowSquaredDistance(out_transform_->Apply(z), x);
+    state->score.assign(errors.data(), errors.data() + n);
+    update.dirty_rows = n;
+  } else {
+    // Eq. 16-17 for the rows of D_L, kRetransformBlock rows at a time: the
+    // attribute-wide retransform is a refresh's largest allocation, and
+    // blocks of one size recycle through the allocator instead of
+    // fragmenting a long-running server's heap (measured as peak RSS).
+    const std::vector<int>& rows = dirty.back();
+    state->score = prior->score;
+    for (size_t lo = 0; lo < rows.size(); lo += kRetransformBlock) {
+      const size_t hi = std::min(rows.size(), lo + kRetransformBlock);
+      const std::vector<int> block(rows.begin() + lo, rows.begin() + hi);
+      std::vector<int> z_rows(hi - lo);
+      std::iota(z_rows.begin(), z_rows.end(), static_cast<int>(lo));
+      const Tensor errors = kernels::RowSquaredDistance(
+          out_transform_->Apply(kernels::GatherRows(z, z_rows)),
+          PreparedAttributeRows(graph, block, row_normalize));
+      for (size_t k = 0; k < block.size(); ++k) {
+        state->score[block[k]] = errors.data()[k];
+      }
+    }
+    update.dirty_rows = static_cast<int>(rows.size());
+  }
+  update.output.score = state->score;
+  update.output.contextual_score = state->score;
+  update.state = std::move(state);
+  return update;
 }
 
 Status Arm::RestoreParameters(const std::vector<Tensor>& tensors) {

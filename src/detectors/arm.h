@@ -46,6 +46,12 @@ class Arm : public OutlierDetector {
   std::string name() const override { return "ARM"; }
   Status Fit(const AttributedGraph& graph) override;
   DetectorOutput Score(const AttributedGraph& graph) const override;
+  /// With the GAT backbone, retains each layer's s, p, q and the errors,
+  /// and recomputes layer l for D_l = S + D_(l-1) + N(D_(l-1)) from
+  /// D_0 = A. Other backbones always score in full.
+  ScoreUpdate ScoreIncremental(const AttributedGraph& graph,
+                               const ScoreState* base,
+                               const ChangedRows& changed) const override;
 
   const ArmConfig& config() const { return config_; }
 

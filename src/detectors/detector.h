@@ -26,6 +26,54 @@ struct DetectorOutput {
   }
 };
 
+/// Rows of a graph that changed since an earlier version of it: the seeds
+/// of an incremental rescore. Both lists are sorted and duplicate-free.
+struct ChangedRows {
+  /// Rows whose attribute vector was replaced (A).
+  std::vector<int> attributes;
+  /// Rows whose neighbor list changed (S): both endpoints of every edge
+  /// that was added or removed.
+  std::vector<int> adjacency;
+};
+
+/// Sorted union of two sorted, duplicate-free row lists.
+std::vector<int> UnionRows(const std::vector<int>& a,
+                           const std::vector<int>& b);
+
+/// Attribute rows `rows` of `graph`, divided by their row sums when
+/// `row_normalize` (the paper's Weibo preprocessing). Both steps are
+/// row-local, so these are the same bits as those rows of the whole
+/// prepared matrix.
+Tensor PreparedAttributeRows(const AttributedGraph& graph,
+                             const std::vector<int>& rows,
+                             bool row_normalize);
+
+/// Per-layer activations of one scored graph version, the base an
+/// incremental rescore of a later version patches. Opaque outside the
+/// detector that made it, and immutable once returned.
+class ScoreState {
+ public:
+  virtual ~ScoreState() = default;
+};
+
+/// When the rows an incremental rescore would recompute in its deepest
+/// layer pass this fraction of the graph, it scores every row instead: the
+/// gather/scatter bookkeeping no longer pays for itself.
+inline constexpr double kMaxIncrementalDirtyFraction = 0.5;
+
+/// What OutlierDetector::ScoreIncremental returns.
+struct ScoreUpdate {
+  DetectorOutput output;
+  /// The retained state of the scored graph, base of the next rescore;
+  /// null when the detector does not rescore incrementally.
+  std::shared_ptr<const ScoreState> state;
+  /// True when `output` patched a base state, false when every row was
+  /// scored.
+  bool incremental = false;
+  /// Rows recomputed in the deepest layer (every node on a full pass).
+  int dirty_rows = 0;
+};
+
 /// Wall-clock accounting for the efficiency experiment (paper Fig 7 /
 /// Table VII), plus the per-epoch telemetry captured by
 /// obs::TrainingRun (loss, grad norm, epoch seconds, peak tensor
@@ -56,6 +104,18 @@ class OutlierDetector {
 
   /// Scores every node of `graph`.
   virtual DetectorOutput Score(const AttributedGraph& graph) const = 0;
+
+  /// Scores `graph` bit-identically to Score(graph), reusing `base`: the
+  /// state returned for an earlier version of the same graph, from which
+  /// `graph` differs only in the rows `changed` lists (and nodes appended
+  /// after them). Only the rows those seeds can reach are recomputed; a
+  /// null `base`, a changed node count or a dirty set beyond
+  /// kMaxIncrementalDirtyFraction scores every row. `base` is never
+  /// modified. The default means "unsupported": a plain Score() and no
+  /// state.
+  virtual ScoreUpdate ScoreIncremental(const AttributedGraph& graph,
+                                       const ScoreState* base,
+                                       const ChangedRows& changed) const;
 
   /// Whether a fitted model can score a graph other than its training
   /// graph (paper Table II, "Inductive Inference" column).

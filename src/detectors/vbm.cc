@@ -12,6 +12,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "tensor/functional.h"
+#include "tensor/kernels.h"
 
 namespace vgod::detectors {
 namespace {
@@ -23,6 +24,13 @@ Tensor PrepareAttributes(const AttributedGraph& graph, bool row_normalize) {
              : graph.attributes();
 }
 
+/// VBM's retained activations: every node's Eq. 6 embedding and its
+/// neighbor-variance score.
+struct VbmState final : ScoreState {
+  Tensor h;
+  std::vector<double> score;
+};
+
 }  // namespace
 
 Vbm::Vbm(VbmConfig config) : config_(std::move(config)) {}
@@ -31,6 +39,11 @@ Variable Vbm::Embed(const Tensor& attributes) const {
   VGOD_CHECK(transform_.has_value()) << "Fit() before Score()";
   Variable x = Variable::Constant(attributes);
   return ag::RowL2Normalize(transform_->Forward(x));
+}
+
+Tensor Vbm::EmbedPrepared(const Tensor& prepared) const {
+  VGOD_CHECK(transform_.has_value()) << "Fit() before Score()";
+  return kernels::RowL2Normalize(transform_->Apply(prepared));
 }
 
 Result<Tensor> Vbm::EmbedRows(const Tensor& attributes) const {
@@ -43,26 +56,9 @@ Result<Tensor> Vbm::EmbedRows(const Tensor& attributes) const {
         " does not match the fitted model's " +
         std::to_string(transform_->in_features()));
   }
-  NoGradGuard no_grad;
-  const Tensor prepared =
-      config_.row_normalize_attributes
-          ? graph_ops::RowNormalizeAttributes(attributes)
-          : attributes;
-  return Embed(prepared).value().Clone();
-}
-
-std::vector<double> Vbm::CurrentScores(const AttributedGraph& graph) const {
-  NoGradGuard no_grad;
-  auto scoring_graph = std::make_shared<const AttributedGraph>(
-      config_.self_loop ? graph.WithSelfLoops() : graph);
-  Variable h =
-      Embed(PrepareAttributes(graph, config_.row_normalize_attributes));
-  Variable variance = ag::NeighborVarianceScore(scoring_graph, h);
-  std::vector<double> scores(graph.num_nodes());
-  for (int i = 0; i < graph.num_nodes(); ++i) {
-    scores[i] = variance.value().At(i, 0);
-  }
-  return scores;
+  return EmbedPrepared(config_.row_normalize_attributes
+                           ? graph_ops::RowNormalizeAttributes(attributes)
+                           : attributes);
 }
 
 double Vbm::RunMiniBatchEpoch(const AttributedGraph& graph,
@@ -218,7 +214,7 @@ Status Vbm::Fit(const AttributedGraph& graph) {
       return healthy;
     }
     if (run.wants_scores()) {
-      run.ProbeScores(epoch + 1, CurrentScores(graph));
+      run.ProbeScores(epoch + 1, Score(graph).score);
     }
   }
   train_stats_.epochs = config_.epochs;
@@ -227,11 +223,55 @@ Status Vbm::Fit(const AttributedGraph& graph) {
 }
 
 DetectorOutput Vbm::Score(const AttributedGraph& graph) const {
+  return ScoreIncremental(graph, nullptr, {}).output;
+}
+
+ScoreUpdate Vbm::ScoreIncremental(const AttributedGraph& graph,
+                                  const ScoreState* base,
+                                  const ChangedRows& changed) const {
   VGOD_PROFILE_SCOPE("detector/vbm_score");
-  DetectorOutput out;
-  out.score = CurrentScores(graph);
-  out.structural_score = out.score;
-  return out;
+  const int n = graph.num_nodes();
+  const auto* prior = dynamic_cast<const VbmState*>(base);
+  // Eq. 6 is row-local, so only the rows in A re-embed. Eq. 7-9 read h
+  // over a row's neighborhood, so a re-embedded row dirties its
+  // neighbors' scores (and, with the Eq. 13 self loop, its own), and an
+  // edge toggle its endpoints'. Recomputed: S + A + N(A).
+  std::vector<int> rows;
+  ScoreUpdate update;
+  if (prior != nullptr && prior->h.rows() == n) {
+    rows = UnionRows(changed.adjacency,
+                     graph_ops::WithNeighbors(graph, changed.attributes));
+    update.incremental =
+        static_cast<double>(rows.size()) <= kMaxIncrementalDirtyFraction * n;
+  }
+  auto state = std::make_shared<VbmState>();
+  if (update.incremental) {
+    state->h = prior->h.Clone();
+    state->score = prior->score;
+    if (!changed.attributes.empty()) {
+      kernels::ScatterRows(
+          EmbedPrepared(PreparedAttributeRows(
+              graph, changed.attributes, config_.row_normalize_attributes)),
+          changed.attributes, &state->h);
+    }
+    const Tensor variance = graph_ops::NeighborVarianceScoreRows(
+        graph, state->h, config_.self_loop, rows);
+    for (size_t k = 0; k < rows.size(); ++k) {
+      state->score[rows[k]] = variance.data()[k];
+    }
+    update.dirty_rows = static_cast<int>(rows.size());
+  } else {
+    state->h = EmbedPrepared(
+        PrepareAttributes(graph, config_.row_normalize_attributes));
+    const Tensor variance =
+        graph_ops::NeighborVarianceScore(graph, state->h, config_.self_loop);
+    state->score.assign(variance.data(), variance.data() + n);
+    update.dirty_rows = n;
+  }
+  update.output.score = state->score;
+  update.output.structural_score = state->score;
+  update.state = std::move(state);
+  return update;
 }
 
 Status Vbm::RestoreParameters(const std::vector<Tensor>& tensors) {

@@ -55,6 +55,11 @@ class Vbm : public OutlierDetector {
   std::string name() const override { return "VBM"; }
   Status Fit(const AttributedGraph& graph) override;
   DetectorOutput Score(const AttributedGraph& graph) const override;
+  /// Retains the embedding h and the scores; recomputes the scores of
+  /// S + A + N(A) after re-embedding the rows in A.
+  ScoreUpdate ScoreIncremental(const AttributedGraph& graph,
+                               const ScoreState* base,
+                               const ChangedRows& changed) const override;
 
   const VbmConfig& config() const { return config_; }
 
@@ -83,6 +88,8 @@ class Vbm : public OutlierDetector {
 
   /// Hidden representation H of Eq. 6 for `attributes`.
   Variable Embed(const Tensor& attributes) const;
+  /// Embed() off the autograd tape, for prepared attribute rows.
+  Tensor EmbedPrepared(const Tensor& prepared) const;
 
   /// One optimization pass over all nodes in mini-batches (neighbor-sampled
   /// subgraphs); used when config_.batch_size > 0. Returns the mean
@@ -90,10 +97,6 @@ class Vbm : public OutlierDetector {
   double RunMiniBatchEpoch(const AttributedGraph& graph,
                            const Tensor& attributes, Optimizer* optimizer,
                            Rng* rng) const;
-
-  /// Neighbor-variance scores for `graph` under the current parameters,
-  /// applying the self-loop technique when configured.
-  std::vector<double> CurrentScores(const AttributedGraph& graph) const;
 
   VbmConfig config_;
   std::optional<nn::Linear> transform_;

@@ -1,5 +1,7 @@
 #include "detectors/vgod.h"
 
+#include <algorithm>
+
 #include "core/stopwatch.h"
 #include "eval/metrics.h"
 #include "obs/profile.h"
@@ -55,11 +57,52 @@ Status Vgod::Fit(const AttributedGraph& graph) {
   return Status::Ok();
 }
 
+namespace {
+
+/// VGOD's retained state: one per component.
+struct VgodState final : ScoreState {
+  std::shared_ptr<const ScoreState> vbm;
+  std::shared_ptr<const ScoreState> arm;
+};
+
+}  // namespace
+
 DetectorOutput Vgod::Score(const AttributedGraph& graph) const {
+  return ScoreIncremental(graph, nullptr, {}).output;
+}
+
+ScoreUpdate Vgod::ScoreIncremental(const AttributedGraph& graph,
+                                   const ScoreState* base,
+                                   const ChangedRows& changed) const {
   VGOD_PROFILE_SCOPE("detector/vgod_score");
+  const auto* prior = dynamic_cast<const VgodState*>(base);
+  // ARM first: its attribute-wide retransform is the larger transient, and
+  // running it before VBM keeps VBM's retained h out of that peak.
+  ScoreUpdate arm = arm_.ScoreIncremental(
+      graph, prior != nullptr ? prior->arm.get() : nullptr, changed);
+  ScoreUpdate vbm = vbm_.ScoreIncremental(
+      graph, prior != nullptr ? prior->vbm.get() : nullptr, changed);
+  ScoreUpdate update;
+  // Eq. 19's normalization reads every node, so the combination always
+  // runs in full; it is O(n) and cheap next to either component.
+  update.output = Combine(std::move(vbm.output.score),
+                          std::move(arm.output.score));
+  update.incremental = vbm.incremental && arm.incremental;
+  update.dirty_rows = std::max(vbm.dirty_rows, arm.dirty_rows);
+  if (vbm.state != nullptr && arm.state != nullptr) {
+    auto state = std::make_shared<VgodState>();
+    state->vbm = std::move(vbm.state);
+    state->arm = std::move(arm.state);
+    update.state = std::move(state);
+  }
+  return update;
+}
+
+DetectorOutput Vgod::Combine(std::vector<double> structural,
+                             std::vector<double> contextual) const {
   DetectorOutput out;
-  out.structural_score = vbm_.Score(graph).score;
-  out.contextual_score = arm_.Score(graph).score;
+  out.structural_score = std::move(structural);
+  out.contextual_score = std::move(contextual);
   // A diverged component can emit non-finite scores, which the rank
   // normalizer rejects (NaN breaks its sort) and mean-std would silently
   // smear over every node. Combine the raw vectors instead so the NaN

@@ -43,6 +43,11 @@ class Vgod : public OutlierDetector {
   std::string name() const override { return "VGOD"; }
   Status Fit(const AttributedGraph& graph) override;
   DetectorOutput Score(const AttributedGraph& graph) const override;
+  /// Rescores each component incrementally, then recombines (Eq. 19)
+  /// over every node.
+  ScoreUpdate ScoreIncremental(const AttributedGraph& graph,
+                               const ScoreState* base,
+                               const ChangedRows& changed) const override;
 
   const Vbm& vbm() const { return vbm_; }
   const Arm& arm() const { return arm_; }
@@ -62,6 +67,10 @@ class Vgod : public OutlierDetector {
   }
 
  private:
+  /// Merges the component scores by the configured combination.
+  DetectorOutput Combine(std::vector<double> structural,
+                         std::vector<double> contextual) const;
+
   VgodConfig config_;
   Vbm vbm_;
   Arm arm_;

@@ -187,45 +187,26 @@ Variable GatAggregate(std::shared_ptr<const AttributedGraph> graph,
   const Tensor& pv = p.value();
   const Tensor& qv = q.value();
   const auto& row_ptr = graph->row_ptr();
-  const auto& col_idx = graph->col_idx();
 
   auto state = std::make_shared<GatForwardState>();
   state->attention.resize(graph->num_directed_edges());
   state->pre_activation.resize(graph->num_directed_edges());
 
   // Row-parallel: each destination i owns its edge slots [row_ptr[i],
-  // row_ptr[i+1]) exclusively, so the softmax groups never overlap.
+  // row_ptr[i+1]) exclusively, so the softmax groups never overlap. The
+  // row body is the one inference uses (graph_ops::GatAggregateRow).
   Tensor out = Tensor::Zeros(n, d);
   VGOD_PROFILE_SCOPE("gnn/gat_aggregate");
   par::ParallelFor(
       0, n, NodeGrain(AvgRowWork(*graph, d)),
       [&](int64_t lo_i, int64_t hi_i) {
         for (int64_t i = lo_i; i < hi_i; ++i) {
-          const int64_t begin = row_ptr[i], end = row_ptr[i + 1];
-          if (begin == end) continue;
-          // Edge scores with a per-group max shift for a stable softmax.
-          float max_score = -std::numeric_limits<float>::infinity();
-          for (int64_t e = begin; e < end; ++e) {
-            const float z =
-                pv.At(static_cast<int>(i), 0) + qv.At(col_idx[e], 0);
-            state->pre_activation[e] = z;
-            const float activated = z > 0.0f ? z : negative_slope * z;
-            state->attention[e] = activated;
-            max_score = std::max(max_score, activated);
-          }
-          float denom = 0.0f;
-          for (int64_t e = begin; e < end; ++e) {
-            state->attention[e] = std::exp(state->attention[e] - max_score);
-            denom += state->attention[e];
-          }
-          float* orow = out.data() + static_cast<size_t>(i) * d;
-          for (int64_t e = begin; e < end; ++e) {
-            state->attention[e] /= denom;
-            const float alpha = state->attention[e];
-            const float* srow =
-                sv.data() + static_cast<size_t>(col_idx[e]) * d;
-            for (int c = 0; c < d; ++c) orow[c] += alpha * srow[c];
-          }
+          graph_ops::GatAggregateRow(
+              *graph, static_cast<int>(i), /*self_loop=*/false, sv.data(),
+              pv.data(), qv.data(), d, negative_slope,
+              out.data() + static_cast<size_t>(i) * d,
+              state->attention.data() + row_ptr[i],
+              state->pre_activation.data() + row_ptr[i]);
         }
       });
 

@@ -3,6 +3,7 @@
 #include "graph/graph_ops.h"
 #include "obs/profile.h"
 #include "tensor/init.h"
+#include "tensor/kernels.h"
 
 namespace vgod::gnn {
 
@@ -63,6 +64,16 @@ Variable GatConv::Forward(std::shared_ptr<const AttributedGraph> graph,
     outputs.push_back(ag::GatAggregate(graph, s, p, q, negative_slope_));
   }
   return outputs.size() == 1 ? outputs[0] : ag::ConcatCols(outputs);
+}
+
+GatConv::Projection GatConv::Project(const Tensor& x) const {
+  VGOD_CHECK_EQ(heads_.size(), 1u) << "Project() covers single-head layers";
+  const Head& head = heads_[0];
+  Projection out;
+  out.s = head.linear.Apply(x);
+  out.p = kernels::MatMul(out.s, head.attn_src.value());
+  out.q = kernels::MatMul(out.s, head.attn_dst.value());
+  return out;
 }
 
 std::vector<Variable> GatConv::Parameters() const {

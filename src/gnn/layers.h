@@ -52,6 +52,17 @@ class GatConv : public GnnLayer {
                    const Variable& x) const override;
   std::vector<Variable> Parameters() const override;
 
+  /// Inference form of a single-head layer, off the autograd tape: the
+  /// node projections s = x W, p = s a_src and q = s a_dst, each row-local.
+  /// Forward(graph, x) equals graph_ops::GatAggregate(graph, s, p, q) bit
+  /// for bit; ARM's incremental rescoring retains these per-node arrays.
+  struct Projection {
+    Tensor s, p, q;
+  };
+  Projection Project(const Tensor& x) const;
+  int num_heads() const { return static_cast<int>(heads_.size()); }
+  float negative_slope() const { return negative_slope_; }
+
  private:
   struct Head {
     nn::Linear linear;

@@ -1,6 +1,9 @@
 #include "graph/graph_ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -122,34 +125,146 @@ Tensor NeighborMean(const AttributedGraph& graph, const Tensor& h) {
   return sum;
 }
 
-Tensor NeighborVarianceScore(const AttributedGraph& graph, const Tensor& h) {
-  VGOD_CHECK_EQ(h.rows(), graph.num_nodes());
-  const int n = graph.num_nodes();
-  const int d = h.cols();
-  VGOD_PROFILE_SCOPE("graph/neighbor_variance_score");
-  const Tensor mean = NeighborMean(graph, h);
-  Tensor out = Tensor::Zeros(n, 1);
-  const float* src = h.data();
-  const float* mu = mean.data();
-  float* dst = out.data();
-  const int64_t avg_work =
-      n == 0 ? 1 : (graph.num_directed_edges() * d) / std::max(n, 1);
-  par::ParallelFor(0, n, NodeGrain(avg_work), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const auto neighbors = graph.Neighbors(static_cast<int>(i));
-      if (neighbors.empty()) continue;
-      const float* mrow = mu + static_cast<size_t>(i) * d;
-      double acc = 0.0;
-      for (int32_t j : neighbors) {
-        const float* hrow = src + static_cast<size_t>(j) * d;
-        for (int c = 0; c < d; ++c) {
-          const double diff = static_cast<double>(hrow[c]) - mrow[c];
-          acc += diff * diff;
-        }
-      }
-      dst[i] = static_cast<float>(acc / neighbors.size());
+namespace {
+
+/// Neighbor variance of one row (see NeighborVarianceScore). `mean` is d
+/// floats of scratch. The neighbor mean sums in walk order and scales by
+/// 1/|N_i| in float, then the squared deviations accumulate in double, so
+/// every row is produced by this one body whatever the caller.
+float NeighborVarianceRow(const AttributedGraph& graph, int node,
+                          bool self_loop, const float* h, int d,
+                          float* mean) {
+  std::fill(mean, mean + d, 0.0f);
+  int count = 0;
+  ForEachNeighbor(graph, node, self_loop, [&](int32_t j) {
+    const float* hrow = h + static_cast<size_t>(j) * d;
+    for (int c = 0; c < d; ++c) mean[c] += hrow[c];
+    ++count;
+  });
+  if (count == 0) return 0.0f;
+  const float inv = 1.0f / static_cast<float>(count);
+  for (int c = 0; c < d; ++c) mean[c] *= inv;
+  double acc = 0.0;
+  ForEachNeighbor(graph, node, self_loop, [&](int32_t j) {
+    const float* hrow = h + static_cast<size_t>(j) * d;
+    for (int c = 0; c < d; ++c) {
+      const double diff = static_cast<double>(hrow[c]) - mean[c];
+      acc += diff * diff;
     }
   });
+  return static_cast<float>(acc / count);
+}
+
+int64_t AvgRowWork(const AttributedGraph& graph, int d) {
+  const int n = graph.num_nodes();
+  return n == 0 ? 1 : (graph.num_directed_edges() * d) / std::max(n, 1);
+}
+
+std::vector<int> AllRows(int n) {
+  std::vector<int> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
+}
+
+}  // namespace
+
+std::vector<int> WithNeighbors(const AttributedGraph& graph,
+                               const std::vector<int>& rows) {
+  std::vector<char> marked(graph.num_nodes(), 0);
+  for (int row : rows) {
+    marked[row] = 1;
+    for (int32_t j : graph.Neighbors(row)) marked[j] = 1;
+  }
+  std::vector<int> out;
+  for (int i = 0; i < graph.num_nodes(); ++i) {
+    if (marked[i]) out.push_back(i);
+  }
+  return out;
+}
+
+Tensor NeighborVarianceScore(const AttributedGraph& graph, const Tensor& h,
+                             bool self_loop) {
+  return NeighborVarianceScoreRows(graph, h, self_loop,
+                                   AllRows(graph.num_nodes()));
+}
+
+Tensor NeighborVarianceScoreRows(const AttributedGraph& graph,
+                                 const Tensor& h, bool self_loop,
+                                 const std::vector<int>& rows) {
+  VGOD_CHECK_EQ(h.rows(), graph.num_nodes());
+  VGOD_PROFILE_SCOPE("graph/neighbor_variance_score");
+  const int d = h.cols();
+  Tensor out(static_cast<int>(rows.size()), 1);
+  float* dst = out.data();
+  par::ParallelFor(0, static_cast<int64_t>(rows.size()),
+                   NodeGrain(AvgRowWork(graph, d)),
+                   [&](int64_t lo, int64_t hi) {
+                     std::vector<float> mean(d);
+                     for (int64_t k = lo; k < hi; ++k) {
+                       dst[k] = NeighborVarianceRow(graph, rows[k], self_loop,
+                                                    h.data(), d, mean.data());
+                     }
+                   });
+  return out;
+}
+
+void GatAggregateRow(const AttributedGraph& graph, int node, bool self_loop,
+                     const float* s, const float* p, const float* q, int d,
+                     float negative_slope, float* out_row, float* attention,
+                     float* pre_activation) {
+  // Edge scores with a max shift for a stable softmax.
+  int count = 0;
+  float max_score = -std::numeric_limits<float>::infinity();
+  ForEachNeighbor(graph, node, self_loop, [&](int32_t j) {
+    const float z = p[node] + q[j];
+    if (pre_activation != nullptr) pre_activation[count] = z;
+    const float activated = z > 0.0f ? z : negative_slope * z;
+    attention[count++] = activated;
+    max_score = std::max(max_score, activated);
+  });
+  float denom = 0.0f;
+  for (int k = 0; k < count; ++k) {
+    attention[k] = std::exp(attention[k] - max_score);
+    denom += attention[k];
+  }
+  int k = 0;
+  ForEachNeighbor(graph, node, self_loop, [&](int32_t j) {
+    attention[k] /= denom;
+    const float alpha = attention[k++];
+    const float* srow = s + static_cast<size_t>(j) * d;
+    for (int c = 0; c < d; ++c) out_row[c] += alpha * srow[c];
+  });
+}
+
+Tensor GatAggregate(const AttributedGraph& graph, bool self_loop,
+                    const Tensor& s, const Tensor& p, const Tensor& q,
+                    float negative_slope) {
+  return GatAggregateRows(graph, self_loop, s, p, q, negative_slope,
+                          AllRows(graph.num_nodes()));
+}
+
+Tensor GatAggregateRows(const AttributedGraph& graph, bool self_loop,
+                        const Tensor& s, const Tensor& p, const Tensor& q,
+                        float negative_slope, const std::vector<int>& rows) {
+  const int n = graph.num_nodes();
+  const int d = s.cols();
+  VGOD_CHECK_EQ(s.rows(), n);
+  VGOD_CHECK(p.rows() == n && p.cols() == 1 && q.rows() == n &&
+             q.cols() == 1);
+  VGOD_PROFILE_SCOPE("graph/gat_aggregate");
+  Tensor out = Tensor::Zeros(static_cast<int>(rows.size()), d);
+  par::ParallelFor(
+      0, static_cast<int64_t>(rows.size()), NodeGrain(AvgRowWork(graph, d)),
+      [&](int64_t lo, int64_t hi) {
+        std::vector<float> attention;
+        for (int64_t k = lo; k < hi; ++k) {
+          attention.resize(static_cast<size_t>(graph.Degree(rows[k])) + 1);
+          GatAggregateRow(graph, rows[k], self_loop, s.data(), p.data(),
+                          q.data(), d, negative_slope,
+                          out.data() + static_cast<size_t>(k) * d,
+                          attention.data(), nullptr);
+        }
+      });
   return out;
 }
 

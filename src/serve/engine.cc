@@ -95,18 +95,27 @@ std::future<Result<ScoreResult>> Promised(SubmitFn submit) {
 /// untrusted: a non-finite value turns into a structured Internal error
 /// (-> HTTP 500) instead of NaNs in response JSON or sort UB downstream.
 /// The "serve.score" fault site lets tests force the degenerate case.
-Result<detectors::DetectorOutput> GuardedScore(
+/// With `rescore` (streaming refreshes) the detector patches the retained
+/// state `base` instead of scoring every row, and returns the new state.
+Result<detectors::ScoreUpdate> GuardedScore(
     const detectors::OutlierDetector& detector, const AttributedGraph& graph,
-    int64_t* tensor_peak_bytes) {
+    bool rescore, const detectors::ScoreState* base,
+    const detectors::ChangedRows& changed, int64_t* tensor_peak_bytes) {
   obs::BeginThreadMemoryWindow();
-  detectors::DetectorOutput out;
+  detectors::ScoreUpdate update;
   {
     // The profiler region every /debug/profile attribution hangs off:
     // detector and kernel scopes nest under serve/score on this thread.
     VGOD_PROFILE_SCOPE("serve/score");
-    out = detector.Score(graph);
+    if (rescore) {
+      update = detector.ScoreIncremental(graph, base, changed);
+    } else {
+      update.output = detector.Score(graph);
+      update.dirty_rows = graph.num_nodes();
+    }
   }
   *tensor_peak_bytes = obs::ThreadMemoryWindowPeak();
+  detectors::DetectorOutput& out = update.output;
   if (faults::Enabled() && !out.score.empty()) {
     out.score[0] = faults::MaybeNan("serve.score", out.score[0]);
   }
@@ -123,7 +132,46 @@ Result<detectors::DetectorOutput> GuardedScore(
                             "' produced an unusable score vector (" +
                             finite.message() + ")");
   }
-  return out;
+  return update;
+}
+
+/// Counts one successful node-lookup refresh as incremental or full and
+/// records how many rows it recomputed in the detector's deepest layer.
+void ObserveRefresh(const detectors::ScoreUpdate& update) {
+  static obs::Histogram* dirty_rows =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "serve.refresh.dirty_rows",
+          {1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6});
+  if (update.incremental) {
+    VGOD_COUNTER_INC("serve.refresh.incremental");
+  } else {
+    VGOD_COUNTER_INC("serve.refresh.full");
+  }
+  dirty_rows->Observe(static_cast<double>(update.dirty_rows));
+}
+
+/// Appends the rows `event` changes to `changed` (unsorted until
+/// publish). An appended node changes the node count, which makes the
+/// next rescore score every row, so it seeds nothing.
+void AddSeeds(const stream::GraphEvent& event,
+              detectors::ChangedRows* changed) {
+  switch (event.type) {
+    case stream::EventType::kAddEdge:
+    case stream::EventType::kRemoveEdge:
+      changed->adjacency.push_back(event.u);
+      changed->adjacency.push_back(event.v);
+      break;
+    case stream::EventType::kUpdateAttributes:
+      changed->attributes.push_back(event.node);
+      break;
+    case stream::EventType::kAddNode:
+      break;
+  }
+}
+
+void SortUnique(std::vector<int>* rows) {
+  std::sort(rows->begin(), rows->end());
+  rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
 }
 
 /// Derives the online scorer's embedding hook from the served detector.
@@ -298,6 +346,7 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
   // position in the batch, not the post-batch adjacency.
   for (const stream::GraphEvent& event : batch.events) {
     store_->ApplyOne(event);
+    AddSeeds(event, &unpublished_);
     Result<int> touched = scorer_->ApplyOne(event);
     if (!touched.ok()) {
       // Embedder failure mid-batch: the store is ahead of the scorer.
@@ -332,12 +381,27 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
   // materialization here, on the ingest request, so scoring workers only
   // ever swap a pointer). Node requests submitted from here on miss the
   // score cache until a refresh scores this version.
+  // The version carries the rows its batch changed (plus any a failed
+  // batch left applied), the seeds an incremental refresh starts from.
   std::shared_ptr<const AttributedGraph> snapshot = store_->Snapshot();
+  SortUnique(&unpublished_.attributes);
+  SortUnique(&unpublished_.adjacency);
   {
     std::lock_guard<std::mutex> graph_lock(graph_mu_);
     current_graph_ = snapshot;
     ++graph_version_;
+    seed_rows_ += static_cast<int64_t>(unpublished_.attributes.size() +
+                                       unpublished_.adjacency.size());
+    seeds_.push_back({graph_version_, std::move(unpublished_)});
+    if (seed_rows_ > snapshot->num_nodes()) {
+      // Nothing has refreshed for a long run of batches: drop the log
+      // rather than grow it, so the next refresh scores every row.
+      seeds_.clear();
+      seed_rows_ = 0;
+      seeds_floor_ = graph_version_;
+    }
   }
+  unpublished_ = {};
 
   result.num_nodes = snapshot->num_nodes();
   result.delta_ops = store_->delta_ops();
@@ -630,10 +694,42 @@ void ScoringEngine::AnswerNodes(Pending* pending,
   FinishRequest(pending, std::move(result), timing);
 }
 
+detectors::ChangedRows ScoringEngine::SeedsAfterLocked(
+    uint64_t base_version) const {
+  detectors::ChangedRows changed;
+  for (const VersionSeeds& seeds : seeds_) {
+    if (seeds.version <= base_version) continue;
+    changed.attributes =
+        detectors::UnionRows(changed.attributes, seeds.rows.attributes);
+    changed.adjacency =
+        detectors::UnionRows(changed.adjacency, seeds.rows.adjacency);
+  }
+  return changed;
+}
+
+void ScoringEngine::InstallState(
+    std::shared_ptr<const detectors::ScoreState> state, uint64_t version) {
+  std::lock_guard<std::mutex> graph_lock(graph_mu_);
+  if (state_ != nullptr && version <= state_version_) return;
+  state_ = std::move(state);
+  state_version_ = version;
+  while (!seeds_.empty() && seeds_.front().version <= version) {
+    seed_rows_ -= static_cast<int64_t>(seeds_.front().rows.attributes.size() +
+                                       seeds_.front().rows.adjacency.size());
+    seeds_.pop_front();
+  }
+}
+
 void ScoringEngine::RunJob(Job job) {
   VGOD_TRACE_SPAN(job.subgraph_request ? "serve/subgraph" : "serve/refresh");
   std::shared_ptr<const AttributedGraph> graph;
   uint64_t version = 0;  // Of `graph`, for a refresh.
+  // A streaming refresh patches the newest retained state (never in
+  // place: another worker may be patching the same base for a different
+  // version) with the seeds of every version published since.
+  const bool rescore = !job.subgraph_request && store_ != nullptr;
+  std::shared_ptr<const detectors::ScoreState> base;
+  detectors::ChangedRows changed;
   if (job.subgraph_request) {
     graph = std::move(job.subgraph_request->subgraph);
   } else {
@@ -643,11 +739,16 @@ void ScoringEngine::RunJob(Job job) {
     std::lock_guard<std::mutex> graph_lock(graph_mu_);
     graph = current_graph_;
     version = graph_version_;
+    if (rescore && state_ != nullptr && state_version_ >= seeds_floor_) {
+      base = state_;
+      changed = SeedsAfterLocked(state_version_);
+    }
   }
   const auto picked = std::chrono::steady_clock::now();
   int64_t tensor_peak_bytes = 0;
-  Result<detectors::DetectorOutput> guarded =
-      GuardedScore(*detector_, *graph, &tensor_peak_bytes);
+  Result<detectors::ScoreUpdate> guarded =
+      GuardedScore(*detector_, *graph, rescore, base.get(), changed,
+                   &tensor_peak_bytes);
   const auto done = std::chrono::steady_clock::now();
   VGOD_HISTOGRAM_OBSERVE("serve.score.latency.seconds",
                          SecondsBetween(picked, done));
@@ -661,7 +762,7 @@ void ScoringEngine::RunJob(Job job) {
       FinishRequest(&pending, guarded.status(), timing);
       return;
     }
-    detectors::DetectorOutput out = std::move(guarded).value();
+    detectors::DetectorOutput out = std::move(guarded.value().output);
     ScoreResult result;
     result.timing = timing;
     result.nodes.resize(graph->num_nodes());
@@ -675,8 +776,14 @@ void ScoringEngine::RunJob(Job job) {
 
   std::shared_ptr<const detectors::DetectorOutput> out;
   if (guarded.ok()) {
+    ObserveRefresh(guarded.value());
+    // Errors install nothing: a poisoned refresh leaves the older state
+    // as the base, and the next refresh re-applies this one's seeds.
+    if (guarded.value().state != nullptr) {
+      InstallState(std::move(guarded.value().state), version);
+    }
     out = std::make_shared<const detectors::DetectorOutput>(
-        std::move(guarded).value());
+        std::move(guarded.value().output));
   }
   std::vector<Pending> waiters;
   {

@@ -113,7 +113,7 @@ struct ScoreResult {
 /// In-process engine counters, also exported as serve.engine.* gauges on
 /// every registry scrape path (/metrics JSON and Prometheus alike).
 struct EngineStats {
-  int64_t batches_flushed = 0;   // Detector Score() invocations.
+  int64_t batches_flushed = 0;   // Refreshes plus subgraph scores.
   int64_t requests_served = 0;   // Requests answered (ok or error).
   int64_t shed = 0;              // Queue-full load-shedding rejections.
 };
@@ -123,11 +123,15 @@ struct EngineStats {
 ///
 /// Two request shapes:
 ///  * node requests — score node ids of the resident graph. The detector
-///    is transductive (one score per node per graph), so the engine runs
-///    one full-graph Score() per published graph version and answers
+///    is transductive (one score per node per graph), so the engine
+///    refreshes the scores once per published graph version and answers
 ///    every node request of that version by indexing the cached output:
 ///    a hit answers inline on the submitting thread; a miss attaches to
-///    the single in-flight refresh job for the current version.
+///    the single in-flight refresh job for the current version. Without
+///    streaming a refresh is a full-graph Score(). With streaming it is
+///    ScoreIncremental(): it patches a copy of the state retained from the
+///    newest refreshed version, recomputing only the rows the intervening
+///    ingest batches can reach, bit-identical to a full Score().
 ///  * subgraph requests — score a request-supplied graph (the inductive
 ///    deployment shape). One Score() call per request.
 ///
@@ -141,10 +145,11 @@ struct EngineStats {
 ///    snapshot only when a worker starts it, so a retired N x D snapshot
 ///    is freed once no running Score() call uses it.
 ///  * errors are not cached — a refresh that fails (e.g. non-finite
-///    scores) answers its waiters with the error and installs nothing.
+///    scores) answers its waiters with the error and installs nothing,
+///    neither scores nor retained state.
 ///
-/// Scores are computed by the same Score() the offline path uses, so
-/// served values are bit-identical to in-process scoring.
+/// Scores are computed by the same per-row code the offline Score() runs,
+/// so served values are bit-identical to in-process scoring.
 class ScoringEngine {
  public:
   /// Completion hook of the *Async submission shape. Invoked exactly once
@@ -259,7 +264,7 @@ class ScoringEngine {
   const AttributedGraph& graph() const { return *boot_graph_; }
   const EngineConfig& config() const { return config_; }
 
-  /// Detector Score() invocations so far (refreshes plus subgraphs).
+  /// Detector scoring calls so far (refreshes plus subgraphs).
   int64_t score_calls() const {
     return score_calls_.load(std::memory_order_relaxed);
   }
@@ -300,6 +305,13 @@ class ScoringEngine {
   Status ValidateSubgraph(const AttributedGraph& graph) const;
   void WorkerLoop();
   void RunJob(Job job);
+  /// Union of the seeds of every version after `base_version`
+  /// (graph_mu_ held).
+  detectors::ChangedRows SeedsAfterLocked(uint64_t base_version) const;
+  /// Installs the retained state of graph `version` unless a newer one is
+  /// installed, and drops the seeds it has absorbed.
+  void InstallState(std::shared_ptr<const detectors::ScoreState> state,
+                    uint64_t version);
   /// Answers one node request from `out` (the scores of its version).
   void AnswerNodes(Pending* pending, const detectors::DetectorOutput& out,
                    const StageTiming& timing);
@@ -317,15 +329,35 @@ class ScoringEngine {
   std::mutex stream_mu_;  // Serializes store_/scorer_ access.
   std::unique_ptr<stream::DeltaGraphStore> store_;
   std::optional<stream::OnlineScorer> scorer_;
+  /// Rows changed by events applied to store_ but not yet published as a
+  /// version (stream_mu_).
+  detectors::ChangedRows unpublished_;
   /// Watchlist node ids as of the last ingest batch (stream_mu_), the
   /// change-detection baseline for watchlist_callback_.
   std::vector<int> last_watchlist_nodes_;
   WatchlistChangeCallback watchlist_callback_;  // Set before Start().
   std::shared_ptr<const obs::ModelFingerprint> fingerprint_;
-  mutable std::mutex graph_mu_;  // Guards current_graph_ + graph_version_.
+  mutable std::mutex graph_mu_;  // Guards the graph versions below.
   std::shared_ptr<const AttributedGraph> current_graph_;
   /// Bumped by every Ingest() publish; the boot graph is version 0.
   uint64_t graph_version_ = 0;
+  /// The rows one published version's ingest changed.
+  struct VersionSeeds {
+    uint64_t version = 0;
+    detectors::ChangedRows rows;
+  };
+  /// Seeds of the versions after state_version_, oldest first, and their
+  /// total row count. When that count passes the node count the log is
+  /// dropped and seeds_floor_ set: no state older than the floor can be
+  /// patched, so the next refresh scores every row.
+  std::deque<VersionSeeds> seeds_;
+  int64_t seed_rows_ = 0;
+  uint64_t seeds_floor_ = 0;
+  /// Retained detector state of graph version state_version_, the base of
+  /// the next streaming refresh; null until the first refresh, and always
+  /// null when streaming is off.
+  std::shared_ptr<const detectors::ScoreState> state_;
+  uint64_t state_version_ = 0;
   /// True while a compaction snapshot swap is in flight (readiness gate).
   std::atomic<bool> compacting_{false};
 

@@ -345,17 +345,9 @@ Variable MseLoss(const Variable& pred, const Variable& target) {
 }
 
 Variable GatherRows(const Variable& x, std::vector<int> indices) {
-  const Tensor& xv = x.value();
-  const int cols = xv.cols();
-  Tensor out(static_cast<int>(indices.size()), cols);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const int row = indices[i];
-    VGOD_CHECK(row >= 0 && row < xv.rows());
-    const float* src = xv.data() + static_cast<size_t>(row) * cols;
-    float* dst = out.data() + i * cols;
-    std::copy(src, src + cols, dst);
-  }
-  const int src_rows = xv.rows();
+  Tensor out = k::GatherRows(x.value(), indices);
+  const int cols = x.cols();
+  const int src_rows = x.rows();
   return Variable::FromOp(
       std::move(out), {x},
       [indices = std::move(indices), src_rows, cols](AutogradNode& self) {

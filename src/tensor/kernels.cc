@@ -1,5 +1,6 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -165,6 +166,30 @@ Tensor MatMulTN(const Tensor& a, const Tensor& b) {
         }
       });
   return out;
+}
+
+Tensor GatherRows(const Tensor& a, const std::vector<int>& rows) {
+  const int cols = a.cols();
+  Tensor out(static_cast<int>(rows.size()), cols);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    VGOD_CHECK(rows[k] >= 0 && rows[k] < a.rows());
+    const float* src = a.data() + static_cast<size_t>(rows[k]) * cols;
+    std::copy(src, src + cols, out.data() + k * cols);
+  }
+  return out;
+}
+
+void ScatterRows(const Tensor& block, const std::vector<int>& rows,
+                 Tensor* dst) {
+  const int cols = dst->cols();
+  VGOD_CHECK(block.rows() == static_cast<int>(rows.size()) &&
+             block.cols() == cols);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    VGOD_CHECK(rows[k] >= 0 && rows[k] < dst->rows());
+    const float* src = block.data() + k * cols;
+    std::copy(src, src + cols,
+              dst->data() + static_cast<size_t>(rows[k]) * cols);
+  }
 }
 
 Tensor Transpose(const Tensor& a) {

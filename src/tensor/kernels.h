@@ -1,6 +1,8 @@
 #ifndef VGOD_TENSOR_KERNELS_H_
 #define VGOD_TENSOR_KERNELS_H_
 
+#include <vector>
+
 #include "tensor/tensor.h"
 
 namespace vgod::kernels {
@@ -17,6 +19,14 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b);
 
 /// C = A^T * B. Requires A.rows() == B.rows().
 Tensor MatMulTN(const Tensor& a, const Tensor& b);
+
+/// Rows `rows` of `a` copied into a rows.size() x a.cols() block.
+Tensor GatherRows(const Tensor& a, const std::vector<int>& rows);
+
+/// Writes row k of `block` over row rows[k] of `dst` (inverse of
+/// GatherRows for distinct rows).
+void ScatterRows(const Tensor& block, const std::vector<int>& rows,
+                 Tensor* dst);
 
 /// Transposed copy of `a`.
 Tensor Transpose(const Tensor& a);
@@ -58,8 +68,9 @@ Tensor ColSums(const Tensor& a);
 /// n x 1 tensor of row L2 norms.
 Tensor RowNorms(const Tensor& a);
 
-/// Each row divided by max(||row||_2, eps).
-Tensor RowL2Normalize(const Tensor& a, float eps);
+/// Each row divided by max(||row||_2, eps). The default eps is
+/// ag::RowL2Normalize's.
+Tensor RowL2Normalize(const Tensor& a, float eps = 1e-12f);
 
 /// n x 1 tensor: out[i] = ||a_i - b_i||_2^2 (squared row differences).
 Tensor RowSquaredDistance(const Tensor& a, const Tensor& b);

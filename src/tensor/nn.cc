@@ -1,6 +1,7 @@
 #include "tensor/nn.h"
 
 #include "tensor/init.h"
+#include "tensor/kernels.h"
 
 namespace vgod::nn {
 
@@ -23,6 +24,12 @@ Linear::Linear(int in_features, int out_features, Rng* rng, bool use_bias)
 Variable Linear::Forward(const Variable& x) const {
   Variable out = ag::MatMul(x, weight_);
   if (bias_.defined()) out = ag::AddRowVector(out, bias_);
+  return out;
+}
+
+Tensor Linear::Apply(const Tensor& x) const {
+  Tensor out = kernels::MatMul(x, weight_.value());
+  if (bias_.defined()) out = kernels::AddRowVector(out, bias_.value());
   return out;
 }
 

@@ -31,6 +31,11 @@ class Linear : public Module {
 
   Variable Forward(const Variable& x) const;
 
+  /// Forward on a plain tensor, off the autograd tape: the same kernels,
+  /// so the same bits. Row-local: row i of the output reads only row i of
+  /// `x`, so scoring a gathered row block reproduces those rows exactly.
+  Tensor Apply(const Tensor& x) const;
+
   std::vector<Variable> Parameters() const override;
 
   const Variable& weight() const { return weight_; }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/args.h"
 #include "core/faultinject.h"
 #include "core/rng.h"
 #include "datasets/io.h"
@@ -23,12 +24,14 @@
 #include "detectors/registry.h"
 #include "detectors/simple.h"
 #include "detectors/vbm.h"
+#include "detectors/vgod.h"
 #include "eval/metrics.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "serve/engine.h"
 #include "serve/server.h"
+#include "stream/events.h"
 #include "tensor/autograd.h"
 
 namespace vgod {
@@ -363,11 +366,67 @@ TEST_F(FaultsTest, EngineDoesNotCacheNonFiniteScores) {
   ASSERT_TRUE(engine.ScoreNodes({4}).ok());
   EXPECT_EQ(engine.score_calls(), 2);
   engine.Shutdown();
+
+  // Streaming: a poisoned incremental refresh installs neither its scores
+  // nor its retained state, so the next refresh patches the older state
+  // with the seeds of both batches and is still exact. The graph is large
+  // enough that two batches dirty well under half of it.
+  graph = TestGraph(600, 2);
+  VgodConfig vgod_config;
+  vgod_config.vbm = TinyVbm();
+  vgod_config.arm.hidden_dim = 8;
+  vgod_config.arm.epochs = 3;
+  auto vgod = std::make_unique<Vgod>(vgod_config);
+  ASSERT_TRUE(vgod->Fit(graph).ok());
+  serve::ScoringEngine streaming(std::move(vgod), graph, {});
+  ASSERT_TRUE(streaming.EnableStreaming().ok());
+  ASSERT_TRUE(streaming.Start().ok());
+  ASSERT_TRUE(streaming.ScoreNodes({0}).ok());  // Retains the boot state.
+
+  auto absent_neighbor = [&](int u) {
+    int v = (u + 7) % graph.num_nodes();
+    while (v == u || streaming.CurrentGraph()->HasEdge(u, v)) {
+      v = (v + 1) % graph.num_nodes();
+    }
+    return v;
+  };
+  const std::vector<float> row(graph.attribute_dim(), 0.75f);
+  stream::EventBatch first;
+  first.events.push_back(stream::GraphEvent::AddEdge(3, absent_neighbor(3)));
+  first.events.push_back(stream::GraphEvent::UpdateAttributes(5, row));
+  ASSERT_TRUE(streaming.Ingest(first).ok());
+  ASSERT_TRUE(faults::Arm("serve.score=nan").ok());
+  EXPECT_EQ(streaming.ScoreNodes({3}).status().code(), StatusCode::kInternal);
+  faults::Disarm();
+
+  stream::EventBatch second;
+  second.events.push_back(
+      stream::GraphEvent::AddEdge(40, absent_neighbor(40)));
+  second.events.push_back(stream::GraphEvent::UpdateAttributes(60, row));
+  ASSERT_TRUE(streaming.Ingest(second).ok());
+  auto incremental_refreshes = [] {
+    Result<double> value = obs::MetricsRegistry::Global().ReadValue(
+        "serve.refresh.incremental");
+    return value.ok() ? value.value() : 0.0;
+  };
+  const double incremental_before = incremental_refreshes();
+  std::vector<int> all(streaming.CurrentGraph()->num_nodes());
+  for (int i = 0; i < static_cast<int>(all.size()); ++i) all[i] = i;
+  Result<serve::ScoreResult> exact = streaming.ScoreNodes(all);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(incremental_refreshes(), incremental_before + 1);
+  const DetectorOutput expected =
+      streaming.detector().Score(*streaming.CurrentGraph());
+  for (int node : all) {
+    ASSERT_EQ(exact.value().score[node], expected.score[node])
+        << "node " << node;
+  }
+  streaming.Shutdown();
 }
 
-// Engine sizes come from command-line flags (vgod_serve --threads=0, or
-// --threads=two, which parses to 0): BuildEngine must refuse them with a
-// Status instead of aborting in the engine's invariant CHECKs.
+// Engine sizes come from command-line flags (vgod_serve --threads=0):
+// BuildEngine must refuse them with a Status instead of aborting in the
+// engine's invariant CHECKs.
 TEST(EngineConfigTest, BuildEngineRejectsBadSizes) {
   const std::string bundle = SaveTinyVbmBundle("engine_sizes.vgodb");
   const std::string graph = TempPath("engine_sizes.graph");
@@ -392,6 +451,40 @@ TEST(EngineConfigTest, BuildEngineRejectsBadSizes) {
 
 // ---------------------------------------------------------------------------
 // Dataset IO under hostile files and injected failures.
+
+// A malformed number on the command line is an error, never 0: the old
+// parser served "--port=eighty" on an ephemeral port.
+TEST(ArgParserTest, RejectsMalformedNumbers) {
+  for (const char* flag :
+       {"--port=eighty", "--port=80x", "--port=8 0", "--port=0x50",
+        "--port=99999999999999999999", "--port=1.5"}) {
+    const char* argv[] = {"tool", flag};
+    ArgParser args = std::move(ArgParser::Parse(2, argv)).value();
+    EXPECT_EQ(args.GetInt("port", 8080), 8080) << flag;
+    EXPECT_EQ(args.status().code(), StatusCode::kInvalidArgument) << flag;
+    EXPECT_EQ(args.status().message(),
+              std::string("invalid value for --port: ") + (flag + 7));
+  }
+  for (const char* flag :
+       {"--scale=fast", "--scale=0.1.2", "--scale=1e999", "--scale=nan",
+        "--scale=0.5s"}) {
+    const char* argv[] = {"tool", flag};
+    ArgParser args = std::move(ArgParser::Parse(2, argv)).value();
+    EXPECT_EQ(args.GetDouble("scale", 1.0), 1.0) << flag;
+    EXPECT_EQ(args.status().code(), StatusCode::kInvalidArgument) << flag;
+  }
+  // Well-formed values still parse, and the first bad flag is the one
+  // reported.
+  const char* argv[] = {"tool", "--top=-3", "--scale=2.5e-1", "--a=x",
+                        "--b=y"};
+  ArgParser args = std::move(ArgParser::Parse(5, argv)).value();
+  EXPECT_EQ(args.GetInt("top", 10), -3);
+  EXPECT_EQ(args.GetDouble("scale", 1.0), 0.25);
+  EXPECT_TRUE(args.status().ok());
+  args.GetInt("a", 0);
+  args.GetInt("b", 0);
+  EXPECT_EQ(args.status().message(), "invalid value for --a: x");
+}
 
 TEST(DatasetHostileInputTest, RejectsImplausibleHeader) {
   const std::string path = TempPath("hostile_header.graph");

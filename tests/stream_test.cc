@@ -3,8 +3,9 @@
 // copy-on-write behavior, the incremental OnlineScorer's equivalence with
 // the from-scratch NeighborVarianceScore kernel under randomized event
 // sequences (with interleaved compactions), watchlist ordering, the
-// engine's ingest path, and a concurrent ingest+score smoke test (run
-// under TSan via the `threads` ctest label).
+// engine's ingest path, the exactness of incremental score refreshes
+// against a full Score() after every published version, and concurrent
+// ingest+score tests (run under TSan via the `threads` ctest label).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +18,12 @@
 
 #include "core/rng.h"
 #include "datasets/synthetic.h"
+#include "detectors/arm.h"
 #include "detectors/vbm.h"
+#include "detectors/vgod.h"
 #include "graph/graph.h"
 #include "graph/graph_ops.h"
+#include "obs/metrics.h"
 #include "serve/engine.h"
 #include "stream/delta_graph.h"
 #include "stream/events.h"
@@ -566,6 +570,241 @@ TEST(EngineStreamingTest, ConcurrentIngestAndScore) {
   for (size_t t = kIngestThreads; t < pool.size(); ++t) pool[t].join();
   EXPECT_EQ(ingest_failures.load(), 0);
   engine->Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Exact incremental refresh: after every published version, served scores
+// equal a full Score() of that version bit for bit.
+
+double CounterValue(const std::string& name) {
+  Result<double> value = obs::MetricsRegistry::Global().ReadValue(name);
+  return value.ok() ? value.value() : 0.0;
+}
+
+enum class ServedModel { kVgod, kVbmSelfLoop, kArm };
+
+std::unique_ptr<detectors::OutlierDetector> FittedModel(
+    ServedModel kind, const AttributedGraph& graph) {
+  detectors::VbmConfig vbm;
+  vbm.hidden_dim = 8;
+  vbm.epochs = 3;
+  detectors::ArmConfig arm;
+  arm.hidden_dim = 8;
+  arm.epochs = 3;
+  std::unique_ptr<detectors::OutlierDetector> detector;
+  switch (kind) {
+    case ServedModel::kVgod: {
+      detectors::VgodConfig config;
+      config.vbm = vbm;
+      config.arm = arm;
+      detector = std::make_unique<detectors::Vgod>(config);
+      break;
+    }
+    case ServedModel::kVbmSelfLoop:
+      vbm.self_loop = true;
+      detector = std::make_unique<detectors::Vbm>(vbm);
+      break;
+    case ServedModel::kArm:
+      detector = std::make_unique<detectors::Arm>(arm);
+      break;
+  }
+  VGOD_CHECK(detector->Fit(graph).ok());
+  return detector;
+}
+
+/// A valid random event against `store`'s current state, biased towards
+/// deleting edges: removes an existing edge, toggles a random pair,
+/// replaces an attribute row, or (rarely) appends a node.
+GraphEvent DeleteHeavyEvent(const DeltaGraphStore& store, Rng* rng) {
+  const int n = store.num_nodes();
+  const double kind = rng->Uniform();
+  if (kind < 0.45) {
+    const int u = static_cast<int>(rng->Next() % n);
+    const std::vector<int32_t> neighbors = store.CurrentNeighbors(u);
+    if (!neighbors.empty()) {
+      return GraphEvent::RemoveEdge(u,
+                                    neighbors[rng->Next() % neighbors.size()]);
+    }
+  }
+  if (kind < 0.7) {
+    const int u = static_cast<int>(rng->Next() % n);
+    int v = static_cast<int>(rng->Next() % n);
+    if (u == v) v = (v + 1) % n;
+    return store.HasEdge(u, v) ? GraphEvent::RemoveEdge(u, v)
+                               : GraphEvent::AddEdge(u, v);
+  }
+  if (kind < 0.995) {
+    return GraphEvent::UpdateAttributes(static_cast<int>(rng->Next() % n),
+                                        RandomRow(store.attribute_dim(), rng));
+  }
+  return GraphEvent::AddNode(RandomRow(store.attribute_dim(), rng));
+}
+
+/// A batch of `size` events, valid in sequence, applied to `mirror` too.
+EventBatch RandomBatch(DeltaGraphStore* mirror, int size, Rng* rng) {
+  EventBatch batch;
+  for (int e = 0; e < size; ++e) {
+    GraphEvent event = DeleteHeavyEvent(*mirror, rng);
+    mirror->ApplyOne(event);
+    batch.events.push_back(std::move(event));
+  }
+  return batch;
+}
+
+std::vector<int> AllNodes(int n) {
+  std::vector<int> nodes(n);
+  for (int i = 0; i < n; ++i) nodes[i] = i;
+  return nodes;
+}
+
+/// Index of the first node whose served score (or component) differs from
+/// `expected` in any bit, or -1.
+int FirstMismatch(const serve::ScoreResult& served,
+                  const detectors::DetectorOutput& expected) {
+  if (served.score.size() != expected.score.size()) return 0;
+  for (size_t k = 0; k < served.nodes.size(); ++k) {
+    const int node = served.nodes[k];
+    if (served.score[k] != expected.score[node]) return node;
+    if (expected.has_components() &&
+        (served.structural[k] != expected.structural_score[node] ||
+         served.contextual[k] != expected.contextual_score[node])) {
+      return node;
+    }
+  }
+  return -1;
+}
+
+void RunExactRefresh(ServedModel kind, uint64_t seed) {
+  AttributedGraph graph = StreamTestGraph(400, seed, 10);
+  serve::EngineConfig engine_config;
+  engine_config.num_threads = 2;
+  serve::ScoringEngine engine(FittedModel(kind, graph), graph,
+                              engine_config);
+  serve::StreamingOptions options;
+  options.compact_every = 200;
+  ASSERT_TRUE(engine.EnableStreaming(options).ok());
+  ASSERT_TRUE(engine.Start().ok());
+
+  const double incremental_before = CounterValue("serve.refresh.incremental");
+  const double full_before = CounterValue("serve.refresh.full");
+  DeltaGraphStore mirror(graph);
+  Rng rng(seed * 7 + 1);
+  int events = 0;
+  int versions = 0;
+  for (int b = 0; events < 10000; ++b) {
+    // Mostly small batches; every 40th is large enough to dirty most of
+    // the graph, which must take the full fallback.
+    const int size = b % 40 == 39 ? 150 : 1 + static_cast<int>(rng.Next() % 24);
+    EventBatch batch = RandomBatch(&mirror, size, &rng);
+    batch.compact = b % 17 == 16;
+    events += size;
+    Result<serve::IngestResult> applied = engine.Ingest(batch);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ++versions;
+
+    const std::shared_ptr<const AttributedGraph> current =
+        engine.CurrentGraph();
+    Result<serve::ScoreResult> served =
+        engine.ScoreNodes(AllNodes(current->num_nodes()));
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    const int mismatch =
+        FirstMismatch(served.value(), engine.detector().Score(*current));
+    ASSERT_EQ(mismatch, -1) << "version " << versions << " (batch of "
+                            << size << " events) differs at node "
+                            << mismatch;
+  }
+  // Every version refreshed once, through both paths, mostly the
+  // incremental one.
+  EXPECT_EQ(engine.score_calls(), versions);
+  const double incremental =
+      CounterValue("serve.refresh.incremental") - incremental_before;
+  const double full = CounterValue("serve.refresh.full") - full_before;
+  EXPECT_GT(full, 0);
+  EXPECT_GT(incremental, 2 * full) << full << " full refreshes";
+  engine.Shutdown();
+}
+
+TEST(ExactRefreshTest, VgodMatchesFullScoreAfterEveryVersion) {
+  RunExactRefresh(ServedModel::kVgod, 61);
+}
+
+TEST(ExactRefreshTest, VbmSelfLoopMatchesFullScoreAfterEveryVersion) {
+  RunExactRefresh(ServedModel::kVbmSelfLoop, 67);
+}
+
+TEST(ExactRefreshTest, ArmMatchesFullScoreAfterEveryVersion) {
+  RunExactRefresh(ServedModel::kArm, 71);
+}
+
+// One ingest thread against two lookup threads on two scoring workers:
+// refreshes of different versions patch private copies of the same
+// retained state concurrently (TSan covers the copy and the install).
+// A lookup bracketed by two reads of the same snapshot was answered from
+// that version, so it must equal that snapshot's full Score() exactly.
+TEST(ExactRefreshTest, ConcurrentIngestAndLookupsStayExact) {
+  AttributedGraph graph = StreamTestGraph(100, 73, 10);
+  serve::EngineConfig engine_config;
+  engine_config.num_threads = 2;
+  serve::ScoringEngine engine(FittedModel(ServedModel::kVgod, graph), graph,
+                              engine_config);
+  serve::StreamingOptions options;
+  options.compact_every = 150;
+  ASSERT_TRUE(engine.EnableStreaming(options).ok());
+  ASSERT_TRUE(engine.Start().ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> checked{0};
+  std::thread ingest([&] {
+    DeltaGraphStore mirror(graph);
+    Rng rng(79);
+    for (int b = 0; b < 300; ++b) {
+      EventBatch batch =
+          RandomBatch(&mirror, 1 + static_cast<int>(rng.Next() % 12), &rng);
+      if (!engine.Ingest(batch).ok()) failures.fetch_add(1);
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> lookups;
+  for (int t = 0; t < 2; ++t) {
+    lookups.emplace_back([&] {
+      // Runs until the ingest thread is done and this thread has checked
+      // a few lookups (the ones after the last publish always qualify).
+      int exact = 0;
+      while (!done.load() || exact < 3) {
+        const std::shared_ptr<const AttributedGraph> before =
+            engine.CurrentGraph();
+        Result<serve::ScoreResult> served =
+            engine.ScoreNodes(AllNodes(before->num_nodes()));
+        if (!served.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        if (engine.CurrentGraph() != before) continue;
+        if (FirstMismatch(served.value(), engine.detector().Score(*before)) !=
+            -1) {
+          failures.fetch_add(1);
+        }
+        checked.fetch_add(1);
+        ++exact;
+      }
+    });
+  }
+  ingest.join();
+  for (std::thread& lookup : lookups) lookup.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(checked.load(), 0);
+
+  // Quiesced: the final version's served scores are exact.
+  const std::shared_ptr<const AttributedGraph> final_graph =
+      engine.CurrentGraph();
+  Result<serve::ScoreResult> served =
+      engine.ScoreNodes(AllNodes(final_graph->num_nodes()));
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(FirstMismatch(served.value(),
+                          engine.detector().Score(*final_graph)),
+            -1);
+  engine.Shutdown();
 }
 
 }  // namespace

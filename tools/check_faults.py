@@ -15,11 +15,13 @@ degrades instead of dying:
      server must stay alive, and SIGTERM must still drain cleanly.
   3. Startup against a truncated bundle, an injected bundle short-read
      (VGOD_FAULTS=bundle.read=fail@2), an injected dataset read failure
-     (VGOD_FAULTS=dataset.read=fail), and bad engine sizes (--threads=0,
-     --threads=two, --max-queue=0) must exit 1 with an error message --
-     not die on a signal.
-  4. vgod_cli eval against garbage and NaN score files must exit 1 with a
-     clean error.
+     (VGOD_FAULTS=dataset.read=fail), bad engine sizes (--threads=0,
+     --max-queue=0) and malformed numbers (--threads=two, --port=eighty,
+     --max-queue=8x, --monitor-interval=fast) must exit 1 with an error
+     message -- not die on a signal, and not read the number as 0.
+  4. vgod_cli eval against garbage and NaN score files, and vgod_cli
+     detect with a malformed number (--top=ten), must exit 1 with a clean
+     error.
 
 Run directly (`python3 tools/check_faults.py --cli build/tools/vgod_cli
 --serve build/tools/vgod_serve`) or via ctest (check_faults, label
@@ -269,7 +271,7 @@ def check_injected_nan_scores(serve_bin, bundle, graph):
 
 
 def serve_must_exit_1(serve_bin, bundle, graph, env_extra, context,
-                      extra_args=()):
+                      extra_args=(), expect="error:"):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -281,8 +283,9 @@ def serve_must_exit_1(serve_bin, bundle, graph, env_extra, context,
           f"{context}: vgod_serve exited {proc.returncode}, expected a "
           f"clean error exit 1 (negative = killed by signal)")
     output = proc.stdout + proc.stderr
-    check("error:" in output,
-          f"{context}: no error message on exit; output: {output[-500:]}")
+    check("error:" in output and expect in output,
+          f"{context}: no '{expect}' error message on exit; "
+          f"output: {output[-500:]}")
 
 
 def check_startup_failures(serve_bin, bundle, graph, workdir):
@@ -295,9 +298,25 @@ def check_startup_failures(serve_bin, bundle, graph, workdir):
     serve_must_exit_1(serve_bin, bundle, graph,
                       {"VGOD_FAULTS": "dataset.read=fail"},
                       "injected dataset read failure")
-    # "two" parses as 0; each must be refused, not a CHECK abort (exit 134).
-    for flag in ("--threads=0", "--threads=two", "--max-queue=0"):
+    # Each must be refused, not a CHECK abort (exit 134).
+    for flag in ("--threads=0", "--max-queue=0"):
         serve_must_exit_1(serve_bin, bundle, graph, None, flag, [flag])
+    # Malformed numbers are refused by the parser, not read as 0 (which
+    # used to serve "--port=eighty" on an ephemeral port).
+    for flag in ("--threads=two", "--port=eighty", "--max-queue=8x",
+                 "--monitor-interval=fast"):
+        serve_must_exit_1(serve_bin, bundle, graph, None, flag, [flag],
+                          "invalid value for " + flag.replace("=", ": ", 1))
+
+
+def check_cli_malformed_numbers(cli, graph):
+    # "--top=ten" used to print "top-0 nodes" and exit 0.
+    for flag in ("--top=ten", "--epoch-scale=0.1.2"):
+        proc = run([cli, "detect", f"--graph={graph}", "--detector=Deg",
+                    flag], expect_code=1)
+        want = "invalid value for " + flag.replace("=", ": ", 1)
+        check(want in proc.stdout + proc.stderr,
+              f"vgod_cli detect {flag}: no '{want}' error")
 
 
 def check_cli_eval_hardening(cli, graph, workdir):
@@ -335,6 +354,7 @@ def main():
             check_injected_nan_scores(serve_bin, bundle, graph)
             check_startup_failures(serve_bin, bundle, graph, workdir)
             check_cli_eval_hardening(cli, graph, workdir)
+            check_cli_malformed_numbers(cli, graph)
 
     if ERRORS:
         print(f"\ncheck_faults: {len(ERRORS)} failure(s)", file=sys.stderr)

@@ -77,17 +77,20 @@ int RunGenerate(const ArgParser& args) {
   if (name.empty() || output.empty()) return Usage();
 
   const uint64_t seed = args.GetInt("seed", 7);
+  const double scale = args.GetDouble("scale", 1.0);
+  const int q = static_cast<int>(args.GetInt("clique-size", 15));
+  const int k = static_cast<int>(args.GetInt("candidate-set", 50));
+  if (!args.status().ok()) return Fail(args.status());
   Result<datasets::Dataset> dataset =
-      datasets::MakeDataset(name, args.GetDouble("scale", 1.0), seed);
+      datasets::MakeDataset(name, scale, seed);
   if (!dataset.ok()) return Fail(dataset.status());
   AttributedGraph graph = std::move(dataset.value().graph);
 
   const std::string inject = args.GetString("inject", "none");
   Rng rng(seed ^ 0xc11);
-  const int q = static_cast<int>(args.GetInt("clique-size", 15));
   const int p = static_cast<int>(
       args.GetInt("num-cliques", std::max(1, graph.num_nodes() / (q * 40))));
-  const int k = static_cast<int>(args.GetInt("candidate-set", 50));
+  if (!args.status().ok()) return Fail(args.status());
   if (inject == "standard") {
     Result<injection::InjectionResult> injected =
         injection::InjectStandard(graph, p, q, k, &rng);
@@ -134,11 +137,16 @@ int RunDetect(const ArgParser& args) {
   if (!valid.ok()) return Fail(valid);
   const std::string graph_path = args.GetString("graph", "");
   if (graph_path.empty()) return Usage();
+  const int num_threads = static_cast<int>(args.GetInt("num_threads", 0));
+  const int top = static_cast<int>(args.GetInt("top", 10));
+  detectors::DetectorOptions options;
+  options.seed = args.GetInt("seed", 7);
+  options.epoch_scale = args.GetDouble("epoch-scale", 1.0);
+  if (!args.status().ok()) return Fail(args.status());
 
   // Size the kernel pool before any Fit/Score work touches it. 0 keeps the
   // VGOD_NUM_THREADS / hardware default; scores are bit-identical either
   // way (docs/PARALLELISM.md).
-  const int num_threads = static_cast<int>(args.GetInt("num_threads", 0));
   if (num_threads > 0) par::SetNumThreads(num_threads);
 
   obs::InitTraceFromEnv();
@@ -164,11 +172,8 @@ int RunDetect(const ArgParser& args) {
     monitor = std::move(opened).value();
   }
 
-  detectors::DetectorOptions options;
-  options.seed = args.GetInt("seed", 7);
   options.self_loop = args.GetBool("self-loop");
   options.row_normalize_attributes = args.GetBool("row-normalize");
-  options.epoch_scale = args.GetDouble("epoch-scale", 1.0);
   options.monitor = monitor.get();
   const std::string detector_name = args.GetString("detector", "VGOD");
   Result<std::unique_ptr<detectors::OutlierDetector>> detector =
@@ -270,7 +275,6 @@ int RunDetect(const ArgParser& args) {
                 bundle_path.c_str(), bundle.value().params.size());
   }
 
-  const int top = static_cast<int>(args.GetInt("top", 10));
   std::vector<int> order(out.score.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),

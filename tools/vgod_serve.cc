@@ -114,6 +114,12 @@ int main(int argc, char** argv) {
   options.monitor.drift.min_window_count =
       args.value().GetInt("drift-min-count", 32);
 
+  if (!args.value().status().ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 args.value().status().ToString().c_str());
+    return 1;
+  }
+
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
   return serve::RunServer(options, &g_stop);
