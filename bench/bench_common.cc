@@ -3,13 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <mutex>
 
 #include "core/check.h"
 #include "core/logging.h"
 #include "core/rng.h"
 #include "obs/json.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace vgod::bench {
@@ -53,8 +53,7 @@ const char* ManifestPath() {
 }
 
 /// {"artifact":...,"scale":...,"seed":...,"epoch_scale":...,
-///  "results":[{dataset,detector,metric,value}...],
-///  "spans":[{name,count,total_us}...]} — spans only when tracing is on.
+///  "results":[{dataset,detector,metric,value}...]}
 std::string ManifestToJson() {
   ManifestState& state = Manifest();
   std::lock_guard<std::mutex> lock(state.mutex);
@@ -82,36 +81,14 @@ std::string ManifestToJson() {
     obs::AppendJsonNumber(&out, r.value);
     out += "}";
   }
-  out += "],\"spans\":[";
-  struct SpanTotals {
-    int64_t count = 0;
-    int64_t total_us = 0;
-  };
-  std::map<std::string, SpanTotals> totals;
-  for (const obs::TraceEvent& event : obs::SnapshotTraceEvents()) {
-    SpanTotals& t = totals[event.name];
-    ++t.count;
-    t.total_us += event.dur_us;
-  }
-  first = true;
-  for (const auto& [name, t] : totals) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":";
-    obs::AppendJsonString(&out, name);
-    out += ",\"count\":";
-    obs::AppendJsonNumber(&out, static_cast<double>(t.count));
-    out += ",\"total_us\":";
-    obs::AppendJsonNumber(&out, static_cast<double>(t.total_us));
-    out += "}";
-  }
   out += "]}";
   return out;
 }
 
 /// Registered via atexit by PrintBanner: the manifest (and, when
-/// VGOD_TRACE carried a path, the trace) land on disk even if a bench
-/// binary returns from main without explicit teardown.
+/// VGOD_TRACE or VGOD_PROFILE carried a path, the trace and the profile)
+/// land on disk even if a bench binary returns from main without
+/// explicit teardown.
 void WriteArtifactsAtExit() {
   WriteManifest();
   const std::string trace_path = obs::TraceEnvPath();
@@ -119,6 +96,13 @@ void WriteArtifactsAtExit() {
     const Status status = obs::WriteTrace(trace_path);
     if (!status.ok()) {
       VGOD_LOG(Error) << "trace export failed: " << status.ToString();
+    }
+  }
+  const std::string profile_path = obs::ProfileEnvPath();
+  if (obs::ProfileEnabled() && !profile_path.empty()) {
+    const Status status = obs::WriteProfile(profile_path);
+    if (!status.ok()) {
+      VGOD_LOG(Error) << "profile export failed: " << status.ToString();
     }
   }
 }
@@ -193,12 +177,14 @@ detectors::DetectorOptions OptionsFor(const UnodCase& unod_case,
 void PrintBanner(const std::string& artifact, const std::string& what) {
   SetLogLevelFromEnv(LogLevel::kWarning);
   obs::InitTraceFromEnv();
+  obs::InitProfileFromEnv();
   {
     ManifestState& state = Manifest();
     std::lock_guard<std::mutex> lock(state.mutex);
     state.artifact = artifact;
   }
-  if (ManifestPath() != nullptr || obs::TraceEnabled()) {
+  if (ManifestPath() != nullptr || obs::TraceEnabled() ||
+      obs::ProfileEnabled()) {
     static const bool registered = []() {
       std::atexit(WriteArtifactsAtExit);
       return true;

@@ -19,13 +19,16 @@ namespace vgod::bench {
 //   VGOD_BENCH_EPOCH_SCALE multiplier on every model's epoch budget
 //                          (default 1.0; use ~0.2 for a quick smoke run)
 //   VGOD_BENCH_MANIFEST    path for a per-run JSON manifest (artifact,
-//                          scale/seed knobs, recorded results, and — when
-//                          VGOD_TRACE is on — per-span timing totals).
-//                          Written at process exit; unset = no manifest.
+//                          scale/seed knobs, recorded results). Written
+//                          at process exit; unset = no manifest.
 //   VGOD_LOG_LEVEL         log threshold override (core/logging.h); bench
 //                          binaries default to "warning"
-//   VGOD_TRACE             enable trace spans (obs/trace.h); a path-like
-//                          value also sets the export destination
+//   VGOD_TRACE             enable the trace sink of every scope
+//                          (obs/trace.h); a path-like value also sets the
+//                          export destination, written at process exit
+//   VGOD_PROFILE           enable the profile sink (obs/profile.h); a
+//                          path-like value is written at process exit,
+//                          as JSON for ".json", else folded stacks
 
 double EnvScale();
 uint64_t EnvSeed();
@@ -67,8 +70,8 @@ detectors::DetectorOptions OptionsFor(const UnodCase& unod_case,
 
 /// Prints the standard bench banner: which paper artifact this regenerates
 /// and the active scale/seed knobs. Also applies VGOD_LOG_LEVEL (fallback:
-/// warning), arms tracing from VGOD_TRACE, and — when VGOD_BENCH_MANIFEST
-/// is set — registers the manifest writer to run at process exit.
+/// warning), arms tracing from VGOD_TRACE and profiling from VGOD_PROFILE,
+/// and registers the manifest/trace/profile writer to run at process exit.
 void PrintBanner(const std::string& artifact, const std::string& what);
 
 /// Adds one named result (typically an AUC or a timing) to the run

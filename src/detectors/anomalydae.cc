@@ -1,7 +1,6 @@
 #include "detectors/anomalydae.h"
 
 #include "graph/graph_ops.h"
-#include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "tensor/optimizer.h"
 
@@ -57,7 +56,6 @@ Status AnomalyDae::Fit(const AttributedGraph& graph) {
   Adam optimizer(params, config_.lr);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("anomalydae/epoch");
     Forward forward = RunForward(message_graph, graph.attributes());
     Variable attr_loss = ag::MeanAll(
         ag::RowSquaredDistance(forward.attribute_reconstruction, attr_target));

@@ -7,7 +7,6 @@
 #include "detectors/divergence.h"
 #include "graph/graph_ops.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "tensor/optimizer.h"
 
@@ -73,7 +72,7 @@ void Arm::BuildModules(int input_dim, Rng* rng) {
 }
 
 Status Arm::Fit(const AttributedGraph& graph) {
-  VGOD_PROFILE_MEMORY_PHASE("detector/arm_fit");
+  VGOD_MEMORY_PHASE("detector/arm_fit");
   if (!graph.has_attributes()) {
     return Status::FailedPrecondition("ARM requires node attributes");
   }
@@ -93,7 +92,6 @@ Status Arm::Fit(const AttributedGraph& graph) {
   Adam optimizer(Parameters(), config_.lr);
   DivergenceGuard guard(Parameters());
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("arm/epoch");
     Variable reconstructed = Reconstruct(message_graph, attributes);
     // Eq. 17-18: minimize the mean per-node squared error.
     Variable loss =
@@ -126,7 +124,7 @@ DetectorOutput Arm::Score(const AttributedGraph& graph) const {
 ScoreUpdate Arm::ScoreIncremental(const AttributedGraph& graph,
                                   const ScoreState* base,
                                   const ChangedRows& changed) const {
-  VGOD_PROFILE_SCOPE("detector/arm_score");
+  VGOD_SCOPE("detector/arm_score");
   VGOD_CHECK(in_transform_.has_value()) << "Fit() before Score()";
   const int n = graph.num_nodes();
   ScoreUpdate update;

@@ -4,7 +4,6 @@
 
 #include "gnn/graph_autograd.h"
 #include "graph/graph_ops.h"
-#include "obs/trace.h"
 #include "tensor/kernels.h"
 #include "tensor/optimizer.h"
 
@@ -87,7 +86,6 @@ Status Cola::Fit(const AttributedGraph& graph) {
   const Tensor ones = Tensor::Ones(n, 1);
   const Tensor zeros = Tensor::Zeros(n, 1);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("cola/epoch");
     RoundOutput round = RunRound(graph, &rng);
     Variable loss = ag::Add(ag::BceWithLogits(round.positive_logits, ones),
                             ag::BceWithLogits(round.negative_logits, zeros));

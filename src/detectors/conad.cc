@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/graph_ops.h"
-#include "obs/trace.h"
 #include "tensor/optimizer.h"
 
 namespace vgod::detectors {
@@ -107,7 +106,6 @@ Status Conad::Fit(const AttributedGraph& graph) {
   Adam optimizer(params, config_.lr);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("conad/epoch");
     AugmentedView view = Augment(graph, &rng);
     auto augmented =
         std::make_shared<const AttributedGraph>(view.graph.WithSelfLoops());

@@ -2,7 +2,6 @@
 
 #include "graph/graph_ops.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "tensor/optimizer.h"
 
 namespace vgod::detectors {
@@ -22,7 +21,7 @@ Dominant::Forward Dominant::RunForward(
 }
 
 Status Dominant::Fit(const AttributedGraph& graph) {
-  VGOD_PROFILE_MEMORY_PHASE("detector/dominant_fit");
+  VGOD_MEMORY_PHASE("detector/dominant_fit");
   if (!graph.has_attributes()) {
     return Status::FailedPrecondition("Dominant requires node attributes");
   }
@@ -50,7 +49,6 @@ Status Dominant::Fit(const AttributedGraph& graph) {
   Adam optimizer(params, config_.lr);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("dominant/epoch");
     Forward forward = RunForward(message_graph, graph.attributes());
     Variable attr_loss = ag::MeanAll(
         ag::RowSquaredDistance(forward.attribute_reconstruction, attr_target));
@@ -70,7 +68,7 @@ Status Dominant::Fit(const AttributedGraph& graph) {
 }
 
 DetectorOutput Dominant::Score(const AttributedGraph& graph) const {
-  VGOD_PROFILE_SCOPE("detector/dominant_score");
+  VGOD_SCOPE("detector/dominant_score");
   NoGradGuard no_grad;
   auto message_graph =
       std::make_shared<const AttributedGraph>(graph.WithSelfLoops());

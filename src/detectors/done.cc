@@ -5,7 +5,6 @@
 #include "eval/metrics.h"
 #include "gnn/graph_autograd.h"
 #include "graph/graph_ops.h"
-#include "obs/trace.h"
 #include "tensor/optimizer.h"
 
 namespace vgod::detectors {
@@ -90,7 +89,6 @@ Status Done::Fit(const AttributedGraph& graph) {
   // (alternating minimization over o and the network parameters).
   std::vector<Tensor> weights(kNumTerms, Tensor::Ones(n, 1));
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("done/epoch");
     ErrorTerms errors = ComputeErrors(graph, graph.attributes(), adjacency);
     Variable loss;
     for (int k = 0; k < kNumTerms; ++k) {

@@ -1,7 +1,6 @@
 #include "detectors/guide.h"
 
 #include "graph/algorithms.h"
-#include "obs/trace.h"
 #include "tensor/optimizer.h"
 
 namespace vgod::detectors {
@@ -53,7 +52,6 @@ Status Guide::Fit(const AttributedGraph& graph) {
   Adam optimizer(params, config_.lr);
 
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("guide/epoch");
     Forward forward =
         RunForward(message_graph, graph.attributes(), structure_features);
     Variable attr_loss = ag::MeanAll(

@@ -1,7 +1,6 @@
 #include "detectors/nondeep.h"
 
 #include "core/rng.h"
-#include "obs/trace.h"
 #include "tensor/functional.h"
 #include "tensor/kernels.h"
 #include "tensor/optimizer.h"
@@ -48,7 +47,6 @@ double Optimize(const std::string& detector,
                        &stats->epoch_records);
   Adam optimizer(params, config.lr);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("nondeep/epoch");
     Variable loss = loss_fn();
     optimizer.ZeroGrad();
     loss.Backward();

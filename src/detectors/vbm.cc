@@ -10,7 +10,6 @@
 #include "graph/graph_ops.h"
 #include "graph/sampling.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "tensor/functional.h"
 #include "tensor/kernels.h"
 
@@ -158,7 +157,7 @@ double Vbm::RunMiniBatchEpoch(const AttributedGraph& graph,
 }
 
 Status Vbm::Fit(const AttributedGraph& graph) {
-  VGOD_PROFILE_MEMORY_PHASE("detector/vbm_fit");
+  VGOD_MEMORY_PHASE("detector/vbm_fit");
   if (!graph.has_attributes()) {
     return Status::FailedPrecondition("VBM requires node attributes");
   }
@@ -176,7 +175,6 @@ Status Vbm::Fit(const AttributedGraph& graph) {
   Adam optimizer(transform_->Parameters(), config_.lr);
   DivergenceGuard guard(transform_->Parameters());
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    VGOD_TRACE_SPAN("vbm/epoch");
     double epoch_loss = 0.0;
     if (config_.batch_size > 0) {
       epoch_loss = RunMiniBatchEpoch(graph, attributes, &optimizer, &rng);
@@ -229,7 +227,7 @@ DetectorOutput Vbm::Score(const AttributedGraph& graph) const {
 ScoreUpdate Vbm::ScoreIncremental(const AttributedGraph& graph,
                                   const ScoreState* base,
                                   const ChangedRows& changed) const {
-  VGOD_PROFILE_SCOPE("detector/vbm_score");
+  VGOD_SCOPE("detector/vbm_score");
   const int n = graph.num_nodes();
   const auto* prior = dynamic_cast<const VbmState*>(base);
   // Eq. 6 is row-local, so only the rows in A re-embed. Eq. 7-9 read h

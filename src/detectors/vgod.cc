@@ -5,7 +5,6 @@
 #include "core/stopwatch.h"
 #include "eval/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 
 namespace vgod::detectors {
 
@@ -36,8 +35,7 @@ Vgod::Vgod(VgodConfig config)
     : config_(config), vbm_(config.vbm), arm_(config.arm) {}
 
 Status Vgod::Fit(const AttributedGraph& graph) {
-  VGOD_TRACE_SPAN("vgod/fit");
-  VGOD_PROFILE_MEMORY_PHASE("detector/vgod_fit");
+  VGOD_MEMORY_PHASE("detector/vgod_fit");
   Stopwatch watch;
   // Separate training with independent epoch budgets (paper Algorithm 1):
   // joint training over-trains one component before the other converges.
@@ -74,7 +72,7 @@ DetectorOutput Vgod::Score(const AttributedGraph& graph) const {
 ScoreUpdate Vgod::ScoreIncremental(const AttributedGraph& graph,
                                    const ScoreState* base,
                                    const ChangedRows& changed) const {
-  VGOD_PROFILE_SCOPE("detector/vgod_score");
+  VGOD_SCOPE("detector/vgod_score");
   const auto* prior = dynamic_cast<const VgodState*>(base);
   // ARM first: its attribute-wide retransform is the larger transient, and
   // running it before VBM keeps VBM's retained h out of that peak.

@@ -50,7 +50,7 @@ Variable Spmm(std::shared_ptr<const AttributedGraph> graph,
       std::move(out), {h},
       [graph = std::move(graph), weights = std::move(edge_weights),
        d](AutogradNode& self) {
-        VGOD_PROFILE_SCOPE("gnn/spmm_backward");
+        VGOD_SCOPE("gnn/spmm_backward");
         // Backward of out[i] += w * h[j] is gh[j] += w * g[i]: a scatter
         // over destinations j, executed as a transpose-CSR gather so each
         // gh row sums its contributions in forward-slot order.
@@ -88,7 +88,7 @@ Variable NeighborMean(std::shared_ptr<const AttributedGraph> graph,
   return Variable::FromOp(
       std::move(out), {h},
       [graph = std::move(graph), d](AutogradNode& self) {
-        VGOD_PROFILE_SCOPE("gnn/neighbor_mean_backward");
+        VGOD_SCOPE("gnn/neighbor_mean_backward");
         const int n = graph->num_nodes();
         Tensor gh = Tensor::Zeros(n, d);
         const graph_ops::CsrTranspose t =
@@ -125,7 +125,7 @@ Variable NeighborVarianceScore(std::shared_ptr<const AttributedGraph> graph,
   return Variable::FromOp(
       std::move(out), {h},
       [graph = std::move(graph), hv, mean, d](AutogradNode& self) {
-        VGOD_PROFILE_SCOPE("gnn/neighbor_variance_backward");
+        VGOD_SCOPE("gnn/neighbor_variance_backward");
         // o_i = (1/|N_i|) sum_{j in N_i} ||h_j - mean_i||^2. The dependence
         // of mean_i on h_j folds into d o_i / d h_j = (2/|N_i|)(h_j - mean_i)
         // (the cross term through the mean cancels). Scatter over j,
@@ -196,7 +196,7 @@ Variable GatAggregate(std::shared_ptr<const AttributedGraph> graph,
   // row_ptr[i+1]) exclusively, so the softmax groups never overlap. The
   // row body is the one inference uses (graph_ops::GatAggregateRow).
   Tensor out = Tensor::Zeros(n, d);
-  VGOD_PROFILE_SCOPE("gnn/gat_aggregate");
+  VGOD_SCOPE("gnn/gat_aggregate");
   par::ParallelFor(
       0, n, NodeGrain(AvgRowWork(*graph, d)),
       [&](int64_t lo_i, int64_t hi_i) {
@@ -214,7 +214,7 @@ Variable GatAggregate(std::shared_ptr<const AttributedGraph> graph,
       std::move(out), {s, p, q},
       [graph = std::move(graph), state, sv, negative_slope,
        d](AutogradNode& self) {
-        VGOD_PROFILE_SCOPE("gnn/gat_aggregate_backward");
+        VGOD_SCOPE("gnn/gat_aggregate_backward");
         const int num_nodes = graph->num_nodes();
         const auto& rows = graph->row_ptr();
         const auto& cols = graph->col_idx();

@@ -26,7 +26,7 @@ GcnConv::GcnConv(int in_features, int out_features, Rng* rng)
 
 Variable GcnConv::Forward(std::shared_ptr<const AttributedGraph> graph,
                           const Variable& x) const {
-  VGOD_PROFILE_SCOPE("gnn/gcn_forward");
+  VGOD_SCOPE("gnn/gcn_forward");
   Variable h = linear_.Forward(x);
   return ag::Spmm(graph, graph_ops::GcnNormWeights(*graph), h);
 }
@@ -54,7 +54,7 @@ GatConv::GatConv(int in_features, int out_features, Rng* rng, int heads,
 
 Variable GatConv::Forward(std::shared_ptr<const AttributedGraph> graph,
                           const Variable& x) const {
-  VGOD_PROFILE_SCOPE("gnn/gat_forward");
+  VGOD_SCOPE("gnn/gat_forward");
   std::vector<Variable> outputs;
   outputs.reserve(heads_.size());
   for (const Head& head : heads_) {
@@ -91,7 +91,7 @@ GinConv::GinConv(int in_features, int out_features, Rng* rng, float eps)
 
 Variable GinConv::Forward(std::shared_ptr<const AttributedGraph> graph,
                           const Variable& x) const {
-  VGOD_PROFILE_SCOPE("gnn/gin_forward");
+  VGOD_SCOPE("gnn/gin_forward");
   Variable aggregated = ag::Spmm(graph, {}, x);
   Variable combined = ag::Add(ag::Scale(x, 1.0f + eps_), aggregated);
   return mlp_.Forward(combined);
@@ -105,7 +105,7 @@ SageConv::SageConv(int in_features, int out_features, Rng* rng)
 
 Variable SageConv::Forward(std::shared_ptr<const AttributedGraph> graph,
                            const Variable& x) const {
-  VGOD_PROFILE_SCOPE("gnn/sage_forward");
+  VGOD_SCOPE("gnn/sage_forward");
   Variable neighbor = ag::NeighborMean(graph, x);
   return ag::Add(self_linear_.Forward(x), neighbor_linear_.Forward(neighbor));
 }

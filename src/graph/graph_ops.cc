@@ -57,7 +57,7 @@ Tensor Spmm(const AttributedGraph& graph,
   }
   const int n = graph.num_nodes();
   const int d = h.cols();
-  VGOD_PROFILE_SCOPE("graph/spmm");
+  VGOD_SCOPE("graph/spmm");
   obs::ProfileAddBytes(
       (2 * static_cast<int64_t>(n) * d +
        graph.num_directed_edges() * (d + 3)) *
@@ -85,7 +85,7 @@ Tensor Spmm(const AttributedGraph& graph,
 }
 
 CsrTranspose BuildCsrTranspose(const AttributedGraph& graph) {
-  VGOD_PROFILE_SCOPE("graph/build_csr_transpose");
+  VGOD_SCOPE("graph/build_csr_transpose");
   const int n = graph.num_nodes();
   const auto& row_ptr = graph.row_ptr();
   const auto& col_idx = graph.col_idx();
@@ -108,7 +108,7 @@ CsrTranspose BuildCsrTranspose(const AttributedGraph& graph) {
 }
 
 Tensor NeighborMean(const AttributedGraph& graph, const Tensor& h) {
-  VGOD_PROFILE_SCOPE("graph/neighbor_mean");
+  VGOD_SCOPE("graph/neighbor_mean");
   Tensor sum = Spmm(graph, {}, h);
   const int n = graph.num_nodes();
   const int d = h.cols();
@@ -192,7 +192,7 @@ Tensor NeighborVarianceScoreRows(const AttributedGraph& graph,
                                  const Tensor& h, bool self_loop,
                                  const std::vector<int>& rows) {
   VGOD_CHECK_EQ(h.rows(), graph.num_nodes());
-  VGOD_PROFILE_SCOPE("graph/neighbor_variance_score");
+  VGOD_SCOPE("graph/neighbor_variance_score");
   const int d = h.cols();
   Tensor out(static_cast<int>(rows.size()), 1);
   float* dst = out.data();
@@ -251,7 +251,7 @@ Tensor GatAggregateRows(const AttributedGraph& graph, bool self_loop,
   VGOD_CHECK_EQ(s.rows(), n);
   VGOD_CHECK(p.rows() == n && p.cols() == 1 && q.rows() == n &&
              q.cols() == 1);
-  VGOD_PROFILE_SCOPE("graph/gat_aggregate");
+  VGOD_SCOPE("graph/gat_aggregate");
   Tensor out = Tensor::Zeros(static_cast<int>(rows.size()), d);
   par::ParallelFor(
       0, static_cast<int64_t>(rows.size()), NodeGrain(AvgRowWork(graph, d)),
@@ -269,7 +269,7 @@ Tensor GatAggregateRows(const AttributedGraph& graph, bool self_loop,
 }
 
 double EdgeHomophily(const AttributedGraph& graph) {
-  VGOD_PROFILE_SCOPE("graph/edge_homophily");
+  VGOD_SCOPE("graph/edge_homophily");
   VGOD_CHECK(graph.has_communities());
   const auto& labels = graph.communities();
   int64_t same = 0;
@@ -284,7 +284,7 @@ double EdgeHomophily(const AttributedGraph& graph) {
 }
 
 Tensor DenseAdjacency(const AttributedGraph& graph) {
-  VGOD_PROFILE_SCOPE("graph/dense_adjacency");
+  VGOD_SCOPE("graph/dense_adjacency");
   const int n = graph.num_nodes();
   Tensor out = Tensor::Zeros(n, n);
   for (int u = 0; u < n; ++u) {
@@ -295,7 +295,7 @@ Tensor DenseAdjacency(const AttributedGraph& graph) {
 }
 
 Tensor RowNormalizeAttributes(const Tensor& attributes, float eps) {
-  VGOD_PROFILE_SCOPE("graph/row_normalize_attributes");
+  VGOD_SCOPE("graph/row_normalize_attributes");
   Tensor out = attributes.Clone();
   for (int i = 0; i < out.rows(); ++i) {
     float* row = out.data() + static_cast<size_t>(i) * out.cols();

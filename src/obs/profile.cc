@@ -12,6 +12,8 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace vgod::obs {
 
 namespace profile_internal {
@@ -34,9 +36,17 @@ struct LiveNode {
   std::vector<std::unique_ptr<LiveNode>> children;
 };
 
-namespace {
+std::atomic<uint32_t> g_sinks{0};
 
-std::atomic<bool> g_profile_enabled{false};
+void SetSink(uint32_t sink, bool enabled) {
+  if (enabled) {
+    g_sinks.fetch_or(sink, std::memory_order_relaxed);
+  } else {
+    g_sinks.fetch_and(~sink, std::memory_order_relaxed);
+  }
+}
+
+namespace {
 
 struct ThreadProfile {
   std::mutex mu;  // guards `children` growth against snapshot traversal
@@ -169,30 +179,45 @@ LiveNode* EnterScope(const char* name) {
   return node;
 }
 
-void LeaveScope(LiveNode* node, int64_t start_ns) {
+void LeaveScope(LiveNode* node, int64_t elapsed_ns) {
   node->calls.fetch_add(1, std::memory_order_relaxed);
-  node->inclusive_ns.fetch_add(ProfileNowNs() - start_ns,
-                               std::memory_order_relaxed);
+  node->inclusive_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
   LocalThreadProfile().current = node->parent;
 }
 
-void MergePeakBytes(LiveNode* node, int64_t peak_bytes) {
-  int64_t seen = node->peak_bytes.load(std::memory_order_relaxed);
-  while (peak_bytes > seen && !node->peak_bytes.compare_exchange_weak(
+}  // namespace profile_internal
+
+void Scope::Enter(const char* name, uint32_t sinks) {
+  sinks_ = sinks;
+  name_ = name;
+  start_ns_ = profile_internal::ProfileNowNs();
+  if (profiling()) node_ = profile_internal::EnterScope(name);
+}
+
+void Scope::Leave() {
+  const int64_t end_ns = profile_internal::ProfileNowNs();
+  if (profiling()) profile_internal::LeaveScope(node_, end_ns - start_ns_);
+  if ((sinks_ & profile_internal::kTraceSink) != 0) {
+    const int64_t start_us = TraceMicrosAt(start_ns_);
+    RecordCompleteEvent(name_, start_us, TraceMicrosAt(end_ns) - start_us);
+  }
+}
+
+void Scope::MergePeakBytes(int64_t peak_bytes) {
+  int64_t seen = node_->peak_bytes.load(std::memory_order_relaxed);
+  while (peak_bytes > seen && !node_->peak_bytes.compare_exchange_weak(
                                   seen, peak_bytes,
                                   std::memory_order_relaxed)) {
   }
 }
 
-}  // namespace profile_internal
-
 bool ProfileEnabled() {
-  return profile_internal::g_profile_enabled.load(std::memory_order_relaxed);
+  return (profile_internal::g_sinks.load(std::memory_order_relaxed) &
+          profile_internal::kProfileSink) != 0;
 }
 
 void SetProfileEnabled(bool enabled) {
-  profile_internal::g_profile_enabled.store(enabled,
-                                            std::memory_order_relaxed);
+  profile_internal::SetSink(profile_internal::kProfileSink, enabled);
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #ifndef VGOD_OBS_PROFILE_H_
 #define VGOD_OBS_PROFILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -10,21 +11,22 @@
 
 namespace vgod::obs {
 
-/// Hierarchical compute profiler. Scoped regions (VGOD_PROFILE_SCOPE)
-/// maintain a thread-local call stack; each distinct stack path becomes a
-/// node in a per-thread call tree holding relaxed-atomic accumulators
-/// (inclusive ns, call count, bytes touched, peak tensor bytes).
-/// SnapshotProfile() merges the per-thread trees by path into one
-/// aggregate tree with deterministic (name-sorted) child order, from
-/// which ProfileToJson() / ProfileToFolded() derive the exports.
+/// Hierarchical compute profiler, one of the two sinks of VGOD_SCOPE (the
+/// other is the trace ring, obs/trace.h). Scoped regions maintain a
+/// thread-local call stack; each distinct stack path becomes a node in a
+/// per-thread call tree holding relaxed-atomic accumulators (inclusive
+/// ns, call count, bytes touched, peak tensor bytes). SnapshotProfile()
+/// merges the per-thread trees by path into one aggregate tree with
+/// deterministic (name-sorted) child order, from which ProfileToJson() /
+/// ProfileToFolded() derive the exports.
 ///
-/// Cost model: disabled, a scope is one relaxed atomic load. Enabled, it
-/// is a thread-local lookup, a child search by pointer/strcmp over a
-/// handful of siblings, and two steady-clock reads — no locks on the hot
-/// path. Tree-structure mutation (first visit of a path) takes a
-/// per-thread mutex shared only with snapshotters, so the profiler stays
-/// TSan-clean, and it never reorders or partitions work, so profiled
-/// runs produce bit-identical numeric output.
+/// Cost model: with both sinks off, a scope is one relaxed atomic load
+/// and a branch. Profiling adds a thread-local lookup, a child search by
+/// pointer/strcmp over a handful of siblings, and two steady-clock reads
+/// — no locks on the hot path. Tree-structure mutation (first visit of a
+/// path) takes a per-thread mutex shared only with snapshotters, so the
+/// profiler stays TSan-clean, and it never reorders or partitions work,
+/// so profiled runs produce bit-identical numeric output.
 ///
 /// Scope names must be string literals (or otherwise outlive the
 /// process); they are stored by pointer on the hot path.
@@ -44,8 +46,7 @@ struct ProfileNode {
   std::vector<ProfileNode> children;  // sorted by name
 };
 
-/// Global on/off switch. When off, VGOD_PROFILE_SCOPE costs one relaxed
-/// atomic load and nothing is recorded.
+/// Global on/off switch of the profile sink.
 bool ProfileEnabled();
 void SetProfileEnabled(bool enabled);
 
@@ -91,43 +92,55 @@ void ProfileAddBytes(int64_t bytes);
 
 namespace profile_internal {
 
+/// ProfileEnabled() and TraceEnabled() are bits of one word, so a scope
+/// with both sinks off costs a single relaxed load and a branch.
+inline constexpr uint32_t kProfileSink = 1;
+inline constexpr uint32_t kTraceSink = 2;
+extern std::atomic<uint32_t> g_sinks;
+
+void SetSink(uint32_t sink, bool enabled);
+
 struct LiveNode;  // one call-tree node; defined in profile.cc
 
-int64_t ProfileNowNs();
-LiveNode* EnterScope(const char* name);
-void LeaveScope(LiveNode* node, int64_t start_ns);
-void MergePeakBytes(LiveNode* node, int64_t peak_bytes);
+int64_t ProfileNowNs();  // steady clock, ns since its epoch
 
 }  // namespace profile_internal
 
-/// RAII profiling region. Prefer the VGOD_PROFILE_SCOPE macro.
-class ProfileScope {
+/// RAII region; prefer the VGOD_SCOPE macro. Feeds the profile tree and
+/// the trace ring (one complete event) from one clock read at entry and
+/// one at exit. The sinks are sampled at entry and kept until exit.
+class Scope {
  public:
-  explicit ProfileScope(const char* name) {
-    if (ProfileEnabled()) {
-      start_ns_ = profile_internal::ProfileNowNs();
-      node_ = profile_internal::EnterScope(name);
-    }
+  explicit Scope(const char* name) {
+    const uint32_t sinks =
+        profile_internal::g_sinks.load(std::memory_order_relaxed);
+    if (sinks != 0) Enter(name, sinks);
   }
-  ~ProfileScope() {
-    if (node_ != nullptr) profile_internal::LeaveScope(node_, start_ns_);
+  ~Scope() {
+    if (sinks_ != 0) Leave();
   }
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
-  bool active() const { return node_ != nullptr; }
-
-  /// Max-merges a tensor-memory high-water mark into this scope's node.
-  void MergePeakBytes(int64_t peak_bytes) {
-    if (node_ != nullptr) profile_internal::MergePeakBytes(node_, peak_bytes);
+  /// True when this region entered the profile tree.
+  bool profiling() const {
+    return (sinks_ & profile_internal::kProfileSink) != 0;
   }
+
+  /// Max-merges a tensor-memory peak into the tree node; needs profiling().
+  void MergePeakBytes(int64_t peak_bytes);
 
  private:
-  profile_internal::LiveNode* node_ = nullptr;
-  int64_t start_ns_ = 0;
+  void Enter(const char* name, uint32_t sinks);
+  void Leave();
+
+  uint32_t sinks_ = 0;  // the rest is set by Enter() alone
+  const char* name_;
+  profile_internal::LiveNode* node_;
+  int64_t start_ns_;
 };
 
-/// RAII profiling region that additionally windows the global tensor
+/// Scope that additionally windows the global tensor
 /// high-water mark (ResetPeakTensorBytes on entry, RaisePeakTensorBytes
 /// on exit) and attributes the phase peak to the scope's tree node. The
 /// enclosing peak is restored on exit, so outer accounting — e.g.
@@ -138,13 +151,13 @@ class ProfileScope {
 class MemoryPhase {
  public:
   explicit MemoryPhase(const char* name) : scope_(name) {
-    if (scope_.active()) {
+    if (scope_.profiling()) {
       outer_peak_ = PeakTensorBytes();
       ResetPeakTensorBytes();
     }
   }
   ~MemoryPhase() {
-    if (scope_.active()) {
+    if (scope_.profiling()) {
       scope_.MergePeakBytes(PeakTensorBytes());
       RaisePeakTensorBytes(outer_peak_);
     }
@@ -153,21 +166,18 @@ class MemoryPhase {
   MemoryPhase& operator=(const MemoryPhase&) = delete;
 
  private:
-  ProfileScope scope_;
+  Scope scope_;
   int64_t outer_peak_ = 0;
 };
 
 }  // namespace vgod::obs
 
-#ifndef VGOD_OBS_CONCAT
 #define VGOD_OBS_CONCAT_INNER(a, b) a##b
 #define VGOD_OBS_CONCAT(a, b) VGOD_OBS_CONCAT_INNER(a, b)
-#endif
-#define VGOD_PROFILE_SCOPE(name)             \
-  ::vgod::obs::ProfileScope VGOD_OBS_CONCAT( \
-      vgod_profile_scope_, __LINE__)(name)
-#define VGOD_PROFILE_MEMORY_PHASE(name)      \
-  ::vgod::obs::MemoryPhase VGOD_OBS_CONCAT(  \
-      vgod_profile_phase_, __LINE__)(name)
+#define VGOD_SCOPE(name) \
+  ::vgod::obs::Scope VGOD_OBS_CONCAT(vgod_scope_, __LINE__)(name)
+#define VGOD_MEMORY_PHASE(name)             \
+  ::vgod::obs::MemoryPhase VGOD_OBS_CONCAT( \
+      vgod_memory_phase_, __LINE__)(name)
 
 #endif  // VGOD_OBS_PROFILE_H_

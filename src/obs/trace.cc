@@ -1,24 +1,22 @@
 #include "obs/trace.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <thread>
 
 #include "obs/json.h"
+#include "obs/profile.h"
 
 namespace vgod::obs {
 namespace {
 
 constexpr size_t kRingCapacity = 1 << 16;
 
-std::atomic<bool> g_enabled{false};
-
-/// Ring buffer of completed spans. Spans end at epoch/phase frequency, not
-/// per tensor element, so a mutex is cheap enough here; the fast path for
-/// disabled tracing never reaches this.
+/// Ring buffer of completed events. Every scope down to the tensor kernels
+/// appends here, once per call rather than per element, so a mutex is
+/// cheap enough; with tracing off nothing reaches this.
 struct Ring {
   std::mutex mu;
   std::vector<TraceEvent> events;  // Ring storage, capacity kRingCapacity.
@@ -36,19 +34,21 @@ std::string& EnvPathStorage() {
   return *path;
 }
 
-std::chrono::steady_clock::time_point TraceEpoch() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return epoch;
+int64_t TraceEpochNs() {
+  static const int64_t epoch_ns = profile_internal::ProfileNowNs();
+  return epoch_ns;
 }
 
 }  // namespace
 
-bool TraceEnabled() { return g_enabled.load(std::memory_order_relaxed); }
+bool TraceEnabled() {
+  return (profile_internal::g_sinks.load(std::memory_order_relaxed) &
+          profile_internal::kTraceSink) != 0;
+}
 
 void SetTraceEnabled(bool enabled) {
-  TraceEpoch();  // Pin the epoch no later than the first enable.
-  g_enabled.store(enabled, std::memory_order_relaxed);
+  TraceEpochNs();  // Pin the epoch no later than the first enable.
+  profile_internal::SetSink(profile_internal::kTraceSink, enabled);
 }
 
 void InitTraceFromEnv() {
@@ -68,9 +68,11 @@ void InitTraceFromEnv() {
 std::string TraceEnvPath() { return EnvPathStorage(); }
 
 int64_t TraceNowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - TraceEpoch())
-      .count();
+  return TraceMicrosAt(profile_internal::ProfileNowNs());
+}
+
+int64_t TraceMicrosAt(int64_t steady_ns) {
+  return (steady_ns - TraceEpochNs()) / 1000;
 }
 
 uint32_t TraceThreadId() {

@@ -23,8 +23,8 @@ struct TraceEvent {
   uint64_t flow_id = 0;
 };
 
-/// Global on/off switch. When off, VGOD_TRACE_SPAN costs one relaxed
-/// atomic load and nothing is recorded.
+/// Global on/off switch of the trace sink. When on, every VGOD_SCOPE
+/// (obs/profile.h) that exits appends one complete event to the ring.
 bool TraceEnabled();
 void SetTraceEnabled(bool enabled);
 
@@ -39,6 +39,10 @@ std::string TraceEnvPath();
 
 /// Microseconds since the process trace epoch (steady clock).
 int64_t TraceNowMicros();
+
+/// The same timeline at a steady-clock reading given in nanoseconds since
+/// the clock's own epoch (the one reading a scope shares between sinks).
+int64_t TraceMicrosAt(int64_t steady_ns);
 
 /// Stable small id for the calling thread (used as "tid" in exports).
 uint32_t TraceThreadId();
@@ -67,34 +71,6 @@ void ClearTrace();
 std::string TraceToJson();
 Status WriteTrace(const std::string& path);
 
-/// RAII span: records one complete event from construction to destruction.
-/// `name` is copied only when tracing is enabled.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (TraceEnabled()) {
-      name_ = name;
-      start_us_ = TraceNowMicros();
-    }
-  }
-  ~TraceSpan() {
-    if (name_ != nullptr) {
-      RecordCompleteEvent(name_, start_us_, TraceNowMicros() - start_us_);
-    }
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  int64_t start_us_ = 0;
-};
-
 }  // namespace vgod::obs
-
-#define VGOD_OBS_CONCAT_INNER(a, b) a##b
-#define VGOD_OBS_CONCAT(a, b) VGOD_OBS_CONCAT_INNER(a, b)
-#define VGOD_TRACE_SPAN(name) \
-  ::vgod::obs::TraceSpan VGOD_OBS_CONCAT(vgod_trace_span_, __LINE__)(name)
 
 #endif  // VGOD_OBS_TRACE_H_

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <future>
 #include <numeric>
 
 #include "core/faultinject.h"
@@ -106,7 +107,7 @@ Result<detectors::ScoreUpdate> GuardedScore(
   {
     // The profiler region every /debug/profile attribution hangs off:
     // detector and kernel scopes nest under serve/score on this thread.
-    VGOD_PROFILE_SCOPE("serve/score");
+    VGOD_SCOPE("serve/score");
     if (rescore) {
       update = detector.ScoreIncremental(graph, base, changed);
     } else {
@@ -330,7 +331,7 @@ Result<IngestResult> ScoringEngine::Ingest(const stream::EventBatch& batch,
       return Status::FailedPrecondition("engine is not accepting work");
     }
   }
-  VGOD_TRACE_SPAN("stream/ingest");
+  VGOD_SCOPE("stream/ingest");
   const auto start = std::chrono::steady_clock::now();
   IngestResult result;
   result.request_id = request_id != 0 ? request_id : NextRequestId();
@@ -621,28 +622,20 @@ void ScoringEngine::SubmitGraphAsync(AttributedGraph graph,
   cv_.notify_one();
 }
 
-std::future<Result<ScoreResult>> ScoringEngine::SubmitNodes(
-    std::vector<int> nodes, uint64_t request_id) {
-  return Promised([&](ScoreCallback done) {
-    SubmitNodesAsync(std::move(nodes), request_id, std::move(done));
-  });
-}
-
-std::future<Result<ScoreResult>> ScoringEngine::SubmitGraph(
-    AttributedGraph graph, uint64_t request_id) {
-  return Promised([&](ScoreCallback done) {
-    SubmitGraphAsync(std::move(graph), request_id, std::move(done));
-  });
-}
-
 Result<ScoreResult> ScoringEngine::ScoreNodes(std::vector<int> nodes,
                                               uint64_t request_id) {
-  return SubmitNodes(std::move(nodes), request_id).get();
+  return Promised([&](ScoreCallback done) {
+           SubmitNodesAsync(std::move(nodes), request_id, std::move(done));
+         })
+      .get();
 }
 
 Result<ScoreResult> ScoringEngine::ScoreGraph(AttributedGraph graph,
                                               uint64_t request_id) {
-  return SubmitGraph(std::move(graph), request_id).get();
+  return Promised([&](ScoreCallback done) {
+           SubmitGraphAsync(std::move(graph), request_id, std::move(done));
+         })
+      .get();
 }
 
 void ScoringEngine::WorkerLoop() {
@@ -721,7 +714,7 @@ void ScoringEngine::InstallState(
 }
 
 void ScoringEngine::RunJob(Job job) {
-  VGOD_TRACE_SPAN(job.subgraph_request ? "serve/subgraph" : "serve/refresh");
+  VGOD_SCOPE(job.subgraph_request ? "serve/subgraph" : "serve/refresh");
   std::shared_ptr<const AttributedGraph> graph;
   uint64_t version = 0;  // Of `graph`, for a refresh.
   // A streaming refresh patches the newest retained state (never in

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -244,14 +243,8 @@ class ScoringEngine {
   void SubmitGraphAsync(AttributedGraph graph, uint64_t request_id,
                         ScoreCallback done);
 
-  /// Future-returning forms of the *Async calls (same validation, cache,
-  /// and error taxonomy).
-  std::future<Result<ScoreResult>> SubmitNodes(std::vector<int> nodes,
-                                               uint64_t request_id = 0);
-  std::future<Result<ScoreResult>> SubmitGraph(AttributedGraph graph,
-                                               uint64_t request_id = 0);
-
-  /// Blocking conveniences over the Submit calls.
+  /// Blocking forms of the *Async calls (same validation, cache, and
+  /// error taxonomy).
   Result<ScoreResult> ScoreNodes(std::vector<int> nodes,
                                  uint64_t request_id = 0);
   Result<ScoreResult> ScoreGraph(AttributedGraph graph,

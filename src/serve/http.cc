@@ -195,6 +195,7 @@ const char* HttpErrorClass(int status) {
     case 400: return "bad_request";
     case 404: return "not_found";
     case 405: return "method_not_allowed";
+    case 409: return "conflict";
     case 413: return "payload_too_large";
     case 431: return "header_fields_too_large";
     case 500: return "internal";
@@ -231,6 +232,7 @@ const char* HttpStatusReason(int status) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 409: return "Conflict";
     case 413: return "Payload Too Large";
     case 431: return "Request Header Fields Too Large";
     case 500: return "Internal Server Error";

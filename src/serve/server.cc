@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -24,6 +25,10 @@
 
 namespace vgod::serve {
 namespace {
+
+/// Set while a /debug/profile window is open. The profile tree and its
+/// switch are process-wide, so one window at a time, across all servers.
+std::atomic<bool> g_profile_window_open{false};
 
 int64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -385,7 +390,7 @@ void ScoringServer::MonitorLoop() {
 }
 
 void ScoringServer::MonitorTick(double now_seconds) {
-  VGOD_TRACE_SPAN("serve/monitor");
+  VGOD_SCOPE("serve/monitor");
   // Structural inputs first: the event counts recorded before a rotation
   // belong to the window that rotation closes.
   if (engine_->streaming_enabled()) {
@@ -418,7 +423,7 @@ void ScoringServer::MonitorTick(double now_seconds) {
 
 void ScoringServer::Handle(const HttpRequest& request,
                            HttpServer::Responder respond) {
-  VGOD_TRACE_SPAN("serve/http");
+  VGOD_SCOPE("serve/http");
   const auto start = std::chrono::steady_clock::now();
 
   std::string path;
@@ -662,14 +667,20 @@ void ScoringServer::Dispatch(const HttpRequest& request,
     // Windowed capture: clear the aggregate tree, enable collection for
     // the requested wall-clock window (sleeping on this transport
     // dispatch worker; scoring proceeds on the engine threads), then
-    // restore the previous enablement. Concurrent /debug/profile windows
-    // overlap benignly — they just observe each other's capture.
+    // restore the previous enablement. A window that opens while another
+    // is open gets 409: its clear would wipe the open capture, and the two
+    // interleaved restores would leave profiling switched on for good.
+    if (g_profile_window_open.exchange(true)) {
+      done(ErrorResponse(409, "a /debug/profile window is already open"));
+      return;
+    }
     const bool was_enabled = obs::ProfileEnabled();
     obs::ClearProfile();
     obs::SetProfileEnabled(true);
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
     obs::SetProfileEnabled(was_enabled);
     const obs::ProfileNode tree = obs::SnapshotProfile();
+    g_profile_window_open.store(false);
     if (format.value() == "folded") {
       HttpResponse response;
       response.status = 200;

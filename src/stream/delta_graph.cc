@@ -230,7 +230,7 @@ void DeltaGraphStore::ApplyOne(const GraphEvent& event) {
 }
 
 AttributedGraph DeltaGraphStore::Materialize() const {
-  VGOD_PROFILE_SCOPE("stream/materialize");
+  VGOD_SCOPE("stream/materialize");
   const int nodes = num_nodes();
   const int dim = attribute_dim();
 
@@ -273,7 +273,7 @@ std::shared_ptr<const AttributedGraph> DeltaGraphStore::Snapshot() {
 }
 
 void DeltaGraphStore::Compact() {
-  VGOD_PROFILE_SCOPE("stream/compact");
+  VGOD_SCOPE("stream/compact");
   base_ = Snapshot();
   delta_.clear();
   attr_override_.clear();

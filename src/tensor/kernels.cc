@@ -47,7 +47,7 @@ void CountMatMulWork(int64_t m, int64_t n, int64_t k) {
 // region name and must be a string literal.
 template <typename Fn>
 Tensor ElementwiseUnary(const char* scope, const Tensor& a, Fn fn) {
-  VGOD_PROFILE_SCOPE(scope);
+  VGOD_SCOPE(scope);
   obs::ProfileAddBytes(2 * a.size() * static_cast<int64_t>(sizeof(float)));
   Tensor out(a.rows(), a.cols());
   const float* in = a.data();
@@ -63,7 +63,7 @@ template <typename Fn>
 Tensor ElementwiseBinary(const char* scope, const Tensor& a, const Tensor& b,
                          Fn fn) {
   VGOD_CHECK(a.SameShape(b)) << a.ShapeString() << " vs " << b.ShapeString();
-  VGOD_PROFILE_SCOPE(scope);
+  VGOD_SCOPE(scope);
   obs::ProfileAddBytes(3 * a.size() * static_cast<int64_t>(sizeof(float)));
   Tensor out(a.rows(), a.cols());
   const float* pa = a.data();
@@ -83,7 +83,7 @@ Tensor ElementwiseBinary(const char* scope, const Tensor& a, const Tensor& b,
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   VGOD_CHECK_EQ(a.cols(), b.rows());
   const int m = a.rows(), k = a.cols(), n = b.cols();
-  VGOD_PROFILE_SCOPE("kernel/matmul");
+  VGOD_SCOPE("kernel/matmul");
   VGOD_COUNTER_INC("tensor.matmul.calls");
   CountMatMulWork(m, n, k);
   Tensor out = Tensor::Zeros(m, n);
@@ -114,7 +114,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   VGOD_CHECK_EQ(a.cols(), b.cols());
   const int m = a.rows(), k = a.cols(), n = b.rows();
-  VGOD_PROFILE_SCOPE("kernel/matmul_nt");
+  VGOD_SCOPE("kernel/matmul_nt");
   VGOD_COUNTER_INC("tensor.matmul_nt.calls");
   CountMatMulWork(m, n, k);
   Tensor out(m, n);
@@ -141,7 +141,7 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
 Tensor MatMulTN(const Tensor& a, const Tensor& b) {
   VGOD_CHECK_EQ(a.rows(), b.rows());
   const int m = a.cols(), k = a.rows(), n = b.cols();
-  VGOD_PROFILE_SCOPE("kernel/matmul_tn");
+  VGOD_SCOPE("kernel/matmul_tn");
   VGOD_COUNTER_INC("tensor.matmul_tn.calls");
   CountMatMulWork(m, n, k);
   Tensor out = Tensor::Zeros(m, n);
@@ -193,7 +193,7 @@ void ScatterRows(const Tensor& block, const std::vector<int>& rows,
 }
 
 Tensor Transpose(const Tensor& a) {
-  VGOD_PROFILE_SCOPE("kernel/transpose");
+  VGOD_SCOPE("kernel/transpose");
   obs::ProfileAddBytes(2 * a.size() * static_cast<int64_t>(sizeof(float)));
   Tensor out(a.cols(), a.rows());
   const float* src = a.data();
@@ -232,7 +232,7 @@ Tensor Scale(const Tensor& a, float s) {
 Tensor AddRowVector(const Tensor& a, const Tensor& row) {
   VGOD_CHECK_EQ(row.rows(), 1);
   VGOD_CHECK_EQ(row.cols(), a.cols());
-  VGOD_PROFILE_SCOPE("kernel/add_row_vector");
+  VGOD_SCOPE("kernel/add_row_vector");
   Tensor out(a.rows(), a.cols());
   const float* pa = a.data();
   const float* pr = row.data();
@@ -249,7 +249,7 @@ Tensor AddRowVector(const Tensor& a, const Tensor& row) {
 
 void AddInPlace(Tensor* dst, const Tensor& src) {
   VGOD_CHECK(dst->SameShape(src));
-  VGOD_PROFILE_SCOPE("kernel/add_inplace");
+  VGOD_SCOPE("kernel/add_inplace");
   float* pd = dst->data();
   const float* ps = src.data();
   par::ParallelFor(0, dst->size(), kElementGrain,
@@ -260,7 +260,7 @@ void AddInPlace(Tensor* dst, const Tensor& src) {
 
 void AxpyInPlace(Tensor* dst, float s, const Tensor& src) {
   VGOD_CHECK(dst->SameShape(src));
-  VGOD_PROFILE_SCOPE("kernel/axpy_inplace");
+  VGOD_SCOPE("kernel/axpy_inplace");
   float* pd = dst->data();
   const float* ps = src.data();
   par::ParallelFor(0, dst->size(), kElementGrain,
@@ -270,7 +270,7 @@ void AxpyInPlace(Tensor* dst, float s, const Tensor& src) {
 }
 
 void ScaleInPlace(Tensor* dst, float s) {
-  VGOD_PROFILE_SCOPE("kernel/scale_inplace");
+  VGOD_SCOPE("kernel/scale_inplace");
   float* pd = dst->data();
   par::ParallelFor(0, dst->size(), kElementGrain,
                    [&](int64_t lo, int64_t hi) {
@@ -322,7 +322,7 @@ Tensor Abs(const Tensor& a) {
 }
 
 Tensor SumAll(const Tensor& a) {
-  VGOD_PROFILE_SCOPE("kernel/sum_all");
+  VGOD_SCOPE("kernel/sum_all");
   double acc = 0.0;
   const float* p = a.data();
   const int64_t n = a.size();
@@ -331,7 +331,7 @@ Tensor SumAll(const Tensor& a) {
 }
 
 Tensor RowSums(const Tensor& a) {
-  VGOD_PROFILE_SCOPE("kernel/row_sums");
+  VGOD_SCOPE("kernel/row_sums");
   Tensor out(a.rows(), 1);
   const float* p = a.data();
   float* dst = out.data();
@@ -348,7 +348,7 @@ Tensor RowSums(const Tensor& a) {
 }
 
 Tensor ColSums(const Tensor& a) {
-  VGOD_PROFILE_SCOPE("kernel/col_sums");
+  VGOD_SCOPE("kernel/col_sums");
   Tensor out = Tensor::Zeros(1, a.cols());
   const float* p = a.data();
   float* dst = out.data();
@@ -365,7 +365,7 @@ Tensor ColSums(const Tensor& a) {
 }
 
 Tensor RowNorms(const Tensor& a) {
-  VGOD_PROFILE_SCOPE("kernel/row_norms");
+  VGOD_SCOPE("kernel/row_norms");
   Tensor out(a.rows(), 1);
   const float* p = a.data();
   float* dst = out.data();
@@ -384,7 +384,7 @@ Tensor RowNorms(const Tensor& a) {
 }
 
 Tensor RowL2Normalize(const Tensor& a, float eps) {
-  VGOD_PROFILE_SCOPE("kernel/row_l2_normalize");
+  VGOD_SCOPE("kernel/row_l2_normalize");
   Tensor out(a.rows(), a.cols());
   const float* p = a.data();
   float* dst = out.data();
@@ -406,7 +406,7 @@ Tensor RowL2Normalize(const Tensor& a, float eps) {
 
 Tensor RowSquaredDistance(const Tensor& a, const Tensor& b) {
   VGOD_CHECK(a.SameShape(b));
-  VGOD_PROFILE_SCOPE("kernel/row_squared_distance");
+  VGOD_SCOPE("kernel/row_squared_distance");
   Tensor out(a.rows(), 1);
   const float* pa = a.data();
   const float* pb = b.data();
@@ -432,7 +432,7 @@ double MeanValue(const Tensor& a) {
 }
 
 double StdValue(const Tensor& a) {
-  VGOD_PROFILE_SCOPE("kernel/std_value");
+  VGOD_SCOPE("kernel/std_value");
   const double mean = MeanValue(a);
   double acc = 0.0;
   const float* p = a.data();
@@ -446,7 +446,7 @@ double StdValue(const Tensor& a) {
 
 float MaxAbsDiff(const Tensor& a, const Tensor& b) {
   VGOD_CHECK(a.SameShape(b));
-  VGOD_PROFILE_SCOPE("kernel/max_abs_diff");
+  VGOD_SCOPE("kernel/max_abs_diff");
   float max_diff = 0.0f;
   const float* pa = a.data();
   const float* pb = b.data();

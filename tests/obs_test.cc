@@ -369,8 +369,8 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, NestedSpansRecordInnerFirstAndNestWithinOuter) {
   {
-    VGOD_TRACE_SPAN("outer");
-    VGOD_TRACE_SPAN("inner");
+    VGOD_SCOPE("outer");
+    VGOD_SCOPE("inner");
   }
   const std::vector<TraceEvent> events = SnapshotTraceEvents();
   ASSERT_EQ(events.size(), 2u);
@@ -385,7 +385,7 @@ TEST_F(TraceTest, NestedSpansRecordInnerFirstAndNestWithinOuter) {
 TEST_F(TraceTest, DisabledTracingRecordsNothing) {
   SetTraceEnabled(false);
   {
-    VGOD_TRACE_SPAN("invisible");
+    VGOD_SCOPE("invisible");
   }
   EXPECT_EQ(TraceEventCount(), 0u);
 }
@@ -583,6 +583,8 @@ class ProfileTest : public ::testing::Test {
   void TearDown() override {
     SetProfileEnabled(false);
     ClearProfile();
+    SetTraceEnabled(false);
+    ClearTrace();
   }
 
   static const ProfileNode* Child(const ProfileNode& node,
@@ -594,11 +596,52 @@ class ProfileTest : public ::testing::Test {
   }
 };
 
+// One scope, every combination of the two sinks: each enabled sink sees
+// the region exactly once under the same name, a disabled one not at all.
+TEST_F(ProfileTest, ScopeFeedsExactlyTheEnabledSinks) {
+  struct Case {
+    const char* name;
+    bool profile;
+    bool trace;
+  };
+  const Case cases[] = {{"test/sinks_both", true, true},
+                        {"test/sinks_trace_only", false, true},
+                        {"test/sinks_profile_only", true, false},
+                        {"test/sinks_none", false, false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SetProfileEnabled(c.profile);
+    SetTraceEnabled(c.trace);
+    ClearTrace();
+    { VGOD_SCOPE(c.name); }
+    SetProfileEnabled(false);
+    SetTraceEnabled(false);
+
+    const std::vector<TraceEvent> events = SnapshotTraceEvents();
+    if (c.trace) {
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(events[0].name, c.name);
+      EXPECT_EQ(events[0].ph, 'X');
+      EXPECT_GE(events[0].dur_us, 0);
+    } else {
+      EXPECT_TRUE(events.empty());
+    }
+    const ProfileNode root = SnapshotProfile();
+    const ProfileNode* node = Child(root, c.name);
+    if (c.profile) {
+      ASSERT_NE(node, nullptr);
+      EXPECT_EQ(node->calls, 1);
+    } else {
+      EXPECT_EQ(node, nullptr);
+    }
+  }
+}
+
 TEST_F(ProfileTest, DisabledScopesRecordNothing) {
   SetProfileEnabled(false);
   ClearProfile();
   {
-    VGOD_PROFILE_SCOPE("test/ignored");
+    VGOD_SCOPE("test/ignored");
     ProfileAddBytes(1 << 20);
   }
   const ProfileNode root = SnapshotProfile();
@@ -607,9 +650,9 @@ TEST_F(ProfileTest, DisabledScopesRecordNothing) {
 
 TEST_F(ProfileTest, NestedScopesBuildTreeWithInvariant) {
   {
-    VGOD_PROFILE_SCOPE("test/outer");
+    VGOD_SCOPE("test/outer");
     for (int i = 0; i < 3; ++i) {
-      VGOD_PROFILE_SCOPE("test/inner");
+      VGOD_SCOPE("test/inner");
       ProfileAddBytes(100);
     }
   }
@@ -630,10 +673,10 @@ TEST_F(ProfileTest, NestedScopesBuildTreeWithInvariant) {
 
 TEST_F(ProfileTest, SiblingScopesStayDistinctAndNameSorted) {
   {
-    VGOD_PROFILE_SCOPE("test/parent");
-    { VGOD_PROFILE_SCOPE("test/b"); }
-    { VGOD_PROFILE_SCOPE("test/a"); }
-    { VGOD_PROFILE_SCOPE("test/b"); }
+    VGOD_SCOPE("test/parent");
+    { VGOD_SCOPE("test/b"); }
+    { VGOD_SCOPE("test/a"); }
+    { VGOD_SCOPE("test/b"); }
   }
   const ProfileNode root = SnapshotProfile();
   const ProfileNode* parent = Child(root, "test/parent");
@@ -646,7 +689,7 @@ TEST_F(ProfileTest, SiblingScopesStayDistinctAndNameSorted) {
 }
 
 TEST_F(ProfileTest, ClearProfileZeroesButKeepsShape) {
-  { VGOD_PROFILE_SCOPE("test/cleared"); }
+  { VGOD_SCOPE("test/cleared"); }
   ClearProfile();
   const ProfileNode root = SnapshotProfile();
   const ProfileNode* node = Child(root, "test/cleared");
@@ -657,8 +700,8 @@ TEST_F(ProfileTest, ClearProfileZeroesButKeepsShape) {
 
 TEST_F(ProfileTest, FoldedExportEmitsStackLines) {
   {
-    VGOD_PROFILE_SCOPE("test/root_scope");
-    VGOD_PROFILE_SCOPE("test/leaf");
+    VGOD_SCOPE("test/root_scope");
+    VGOD_SCOPE("test/leaf");
   }
   const std::string folded = ProfileToFolded();
   EXPECT_NE(folded.find("test/root_scope;test/leaf "), std::string::npos)
@@ -678,8 +721,8 @@ TEST_F(ProfileTest, FoldedExportEmitsStackLines) {
 
 TEST_F(ProfileTest, JsonExportParsesAndNestsChildren) {
   {
-    VGOD_PROFILE_SCOPE("test/json_outer");
-    VGOD_PROFILE_SCOPE("test/json_inner");
+    VGOD_SCOPE("test/json_outer");
+    VGOD_SCOPE("test/json_inner");
   }
   Result<JsonValue> parsed = ParseJson(ProfileToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -698,7 +741,7 @@ TEST_F(ProfileTest, JsonExportParsesAndNestsChildren) {
 }
 
 TEST_F(ProfileTest, WriteProfilePicksFormatFromExtension) {
-  { VGOD_PROFILE_SCOPE("test/written"); }
+  { VGOD_SCOPE("test/written"); }
   const std::string json_path = "obs_profile_test.json";
   const std::string folded_path = "obs_profile_test.folded";
   ASSERT_TRUE(WriteProfile(json_path).ok());
@@ -724,7 +767,7 @@ TEST_F(ProfileTest, MemoryPhaseAttributesPeakAndRestoresOuter) {
   OnTensorAlloc(1000);
   OnTensorFree(1000);  // outer peak: baseline + 1000
   {
-    VGOD_PROFILE_MEMORY_PHASE("test/phase");
+    VGOD_MEMORY_PHASE("test/phase");
     OnTensorAlloc(400);
     OnTensorFree(400);
   }
@@ -751,17 +794,20 @@ TEST_F(ProfileTest, ThreadMemoryWindowTracksPerThreadPeak) {
 }
 
 TEST_F(ProfileTest, ConcurrentScopesAndSnapshotsAreClean) {
-  // Scoping threads race SnapshotProfile/ClearProfile calls; the test is
-  // primarily a TSan target (ctest -L threads) and secondarily checks
-  // that a quiesced snapshot sees every thread's tree.
+  // Scoping threads race SnapshotProfile/ClearProfile calls and trace ring
+  // snapshots; the test is primarily a TSan target (ctest -L threads) for
+  // both sinks of a scope, and secondarily checks that a quiesced snapshot
+  // sees every thread's tree and every thread's events.
+  SetTraceEnabled(true);
+  ClearTrace();
   constexpr int kThreads = 4;
   constexpr int kIters = 500;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([]() {
       for (int i = 0; i < kIters; ++i) {
-        VGOD_PROFILE_SCOPE("test/mt_outer");
-        VGOD_PROFILE_SCOPE("test/mt_inner");
+        VGOD_SCOPE("test/mt_outer");
+        VGOD_SCOPE("test/mt_inner");
         ProfileAddBytes(8);
       }
     });
@@ -770,10 +816,13 @@ TEST_F(ProfileTest, ConcurrentScopesAndSnapshotsAreClean) {
     for (int i = 0; i < 50; ++i) {
       const ProfileNode root = SnapshotProfile();
       (void)root;
+      const std::vector<TraceEvent> events = SnapshotTraceEvents();
+      (void)events;
     }
   });
   for (std::thread& t : workers) t.join();
   snapshotter.join();
+  SetTraceEnabled(false);
   const ProfileNode root = SnapshotProfile();
   const ProfileNode* outer = Child(root, "test/mt_outer");
   ASSERT_NE(outer, nullptr);
@@ -782,6 +831,12 @@ TEST_F(ProfileTest, ConcurrentScopesAndSnapshotsAreClean) {
   ASSERT_NE(inner, nullptr);
   EXPECT_EQ(inner->bytes, int64_t{kThreads} * kIters * 8);
   EXPECT_LE(inner->inclusive_ns, outer->inclusive_ns);
+  int64_t outer_events = 0;
+  for (const TraceEvent& event : SnapshotTraceEvents()) {
+    if (event.name == "test/mt_outer") ++outer_events;
+  }
+  EXPECT_EQ(outer_events, int64_t{kThreads} * kIters);
+  EXPECT_EQ(TraceDroppedCount(), 0);
 }
 
 }  // namespace

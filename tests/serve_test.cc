@@ -14,7 +14,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "datasets/registry.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "serve/access_log.h"
 #include "serve/forensics.h"
 #include "datasets/synthetic.h"
@@ -245,6 +248,30 @@ TEST(BundleTest, RestoreRejectsWrongDetectorName) {
 // Scoring engine.
 
 using serve::ScoringEngine;
+using ScoreFuture = std::future<Result<serve::ScoreResult>>;
+
+/// A completion callback that fulfils `*future`: lets a test hold an
+/// *Async submission in flight while it acts.
+ScoringEngine::ScoreCallback FulfilFuture(ScoreFuture* future) {
+  auto promise =
+      std::make_shared<std::promise<Result<serve::ScoreResult>>>();
+  *future = promise->get_future();
+  return [promise](Result<serve::ScoreResult> result) {
+    promise->set_value(std::move(result));
+  };
+}
+
+ScoreFuture SubmitNodes(ScoringEngine& engine, std::vector<int> nodes) {
+  ScoreFuture future;
+  engine.SubmitNodesAsync(std::move(nodes), 0, FulfilFuture(&future));
+  return future;
+}
+
+ScoreFuture SubmitGraph(ScoringEngine& engine, AttributedGraph graph) {
+  ScoreFuture future;
+  engine.SubmitGraphAsync(std::move(graph), 0, FulfilFuture(&future));
+  return future;
+}
 
 std::unique_ptr<ScoringEngine> MakeDegNormEngine(const AttributedGraph& graph,
                                                  serve::EngineConfig config) {
@@ -456,12 +483,12 @@ TEST(ScoringEngineTest, FullQueueShedsLoad) {
 
   // The first request misses the cache and waits on a refresh that blocks
   // inside Score(); as a waiter it holds the one backlog slot...
-  std::future<Result<serve::ScoreResult>> first = engine.SubmitNodes({0});
+  ScoreFuture first = SubmitNodes(engine, {0});
   control->WaitForScoreEntry(1);
   // ...so the next lookup and a subgraph request are both shed, fast.
-  Result<serve::ScoreResult> shed_nodes = engine.SubmitNodes({1}).get();
+  Result<serve::ScoreResult> shed_nodes = SubmitNodes(engine, {1}).get();
   EXPECT_EQ(shed_nodes.status().code(), StatusCode::kOutOfRange);
-  Result<serve::ScoreResult> shed_graph = engine.SubmitGraph(graph).get();
+  Result<serve::ScoreResult> shed_graph = SubmitGraph(engine, graph).get();
   EXPECT_EQ(shed_graph.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(engine.stats().shed, 2);
 
@@ -487,7 +514,7 @@ TEST(ScoringEngineTest, LookupAfterIngestNeverWaitsOnAnOlderRefresh) {
   ASSERT_TRUE(engine.Start().ok());
 
   // A refresh of the boot graph is blocked inside Score()...
-  std::future<Result<serve::ScoreResult>> stale = engine.SubmitNodes({0});
+  ScoreFuture stale = SubmitNodes(engine, {0});
   control->WaitForScoreEntry(1);
   // ...when an ingest publishes version 1.
   int absent = 1;
@@ -529,11 +556,11 @@ TEST(ScoringEngineTest, ShutdownDrainsInFlightWork) {
 
   // Node requests wait on one refresh blocked inside Score(); subgraph
   // requests queue behind it.
-  std::vector<std::future<Result<serve::ScoreResult>>> futures;
-  futures.push_back(engine.SubmitNodes({0}));
+  std::vector<ScoreFuture> futures;
+  futures.push_back(SubmitNodes(engine, {0}));
   control->WaitForScoreEntry(1);
-  for (int i = 1; i < 8; ++i) futures.push_back(engine.SubmitNodes({i}));
-  for (int i = 0; i < 2; ++i) futures.push_back(engine.SubmitGraph(graph));
+  for (int i = 1; i < 8; ++i) futures.push_back(SubmitNodes(engine, {i}));
+  for (int i = 0; i < 2; ++i) futures.push_back(SubmitGraph(engine, graph));
 
   std::thread stopper([&engine] { engine.Shutdown(); });
   // Shutdown closes admission before it drains.
@@ -1148,6 +1175,41 @@ TEST(ScoringServerTest, DebugSlowReturnsStageBreakdowns) {
     EXPECT_LE(stage_sum, static_cast<double>(total) + 1.0);
   }
 
+  server.Stop();
+}
+
+TEST(ScoringServerTest, OverlappingProfileWindowsDoNotLatchProfiling) {
+  AttributedGraph graph = TestGraph();
+  auto engine = MakeDegNormEngine(graph, {});
+  serve::ScoringServer server(std::move(engine), /*port=*/0);
+  ASSERT_TRUE(server.Start().ok());
+  const int port = server.port();
+  ASSERT_FALSE(obs::ProfileEnabled());
+
+  // Window A opens; window B asks 0.2 s later, while A is still open.
+  Result<std::pair<int, std::string>> first =
+      Status::Internal("window A not sent");
+  std::thread opener([&] {
+    first = HttpRoundTrip(port, "GET", "/debug/profile?seconds=1", "");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  Result<std::pair<int, std::string>> second =
+      HttpRoundTrip(port, "GET", "/debug/profile?seconds=1", "");
+  opener.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first.value().first, 200);
+  // B is refused instead of clearing A's capture, and neither restore
+  // leaves the profiler switched on behind the windows.
+  EXPECT_EQ(second.value().first, 409);
+  EXPECT_FALSE(obs::ProfileEnabled());
+
+  // Once A has closed, the next window opens normally.
+  Result<std::pair<int, std::string>> third =
+      HttpRoundTrip(port, "GET", "/debug/profile?seconds=0.05", "");
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third.value().first, 200);
+  EXPECT_FALSE(obs::ProfileEnabled());
   server.Stop();
 }
 

@@ -10,7 +10,8 @@ export formats are well-formed and mutually consistent:
   * --metrics_out JSON: counters/gauges/histograms envelope; the matmul
     counters must have moved during training.
   * --trace_out Chrome trace JSON: a traceEvents array of complete ("X")
-    events including the per-epoch and whole-fit spans.
+    events including the per-epoch and whole-fit spans, each epoch once,
+    and the scopes beneath them (the detector's fit phase, kernels).
 
 Run directly (`python3 tools/check_telemetry.py --cli build/tools/vgod_cli`)
 or via ctest (registered as check_telemetry).
@@ -153,6 +154,16 @@ def validate_trace(path, detector, expected_epochs):
           f"expected {expected_epochs} {detector}/epoch spans, got "
           f"{epoch_spans}")
     check(f"{detector}/fit" in names, f"missing {detector}/fit span")
+    # Scopes feed the trace too: the fit phase once, the kernels beneath
+    # it, and no second, hand-written record of each epoch.
+    phase = f"detector/{detector.lower()}_fit"
+    check(names.count(phase) == 1,
+          f"expected one {phase} span, got {names.count(phase)}")
+    check(any(name.startswith("kernel/") for name in names),
+          "trace has no kernel/ spans")
+    duplicate = f"{detector.lower()}/epoch"
+    check(duplicate not in names,
+          f"trace still records {duplicate} beside {detector}/epoch")
 
 
 def main():

@@ -184,7 +184,7 @@ int RunDetect(const ArgParser& args) {
   if (!fit.ok()) return Fail(fit);
   detectors::DetectorOutput out;
   {
-    VGOD_TRACE_SPAN("cli/score");
+    VGOD_SCOPE("cli/score");
     out = detector.value()->Score(graph.value());
   }
   // Rank/sort code below (and eval::Auc) cannot digest NaN scores; fail
